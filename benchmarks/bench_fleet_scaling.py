@@ -36,10 +36,10 @@ async def _replay_through_fleet(blocks, workers):
     supervisor = WorkerSupervisor(workers, probe_interval_s=5.0)
     async with supervisor:
         gateway = AdvisoryGateway(supervisor)
-        await gateway.start(port=0)
+        await gateway.endpoint.start(port=0)
         try:
             report = await replay_async(
-                blocks, port=gateway.port, clients=CLIENTS,
+                blocks, port=gateway.endpoint.port, clients=CLIENTS,
                 policy="tree", cache_size=1024,
             )
             # Probe each worker subprocess while it is still serving: the

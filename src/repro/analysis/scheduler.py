@@ -39,9 +39,6 @@ Results always come back in input order, each carrying its wall time in
 ``stats.extra["wall_time_s"]``.  :attr:`Scheduler.counters` records how
 every submitted spec was satisfied, which is what the CLI prints and the
 CI cache-hit assertions grep.
-
-The spec/executor layer used to live in ``repro.analysis.parallel``; that
-module is now a thin deprecation shim re-exporting from here.
 """
 
 from __future__ import annotations

@@ -91,15 +91,12 @@ class _Target:
 class _ServerTarget(_Target):
     """One in-process :class:`~repro.service.server.PrefetchService`."""
 
-    def __init__(self, service, server) -> None:
+    def __init__(self, service) -> None:
         self.service = service
-        self._server = server
 
     @property
     def port(self) -> int:
-        from repro.service.server import bound_port
-
-        return bound_port(self._server)
+        return self.service.endpoint.port
 
     async def metrics(self) -> Optional[Dict[str, Any]]:
         return self.service.metrics.as_dict()
@@ -111,11 +108,7 @@ class _ServerTarget(_Target):
         return self.service.tracer.summary()
 
     async def aclose(self) -> None:
-        self._server.close()
-        await self._server.wait_closed()
-        self.service.close_connections()
-        if self.service.tracer is not None:
-            self.service.tracer.close()
+        await self.service.aclose()
 
 
 class _FleetTarget(_Target):
@@ -231,8 +224,8 @@ async def _start_target(
             "campaign", trace_dir=trace_dir, seed=scenario.seed
         )
     service = PrefetchService(**service_kwargs)
-    server = await service.start("127.0.0.1", 0)
-    return _ServerTarget(service, server)
+    await service.endpoint.start("127.0.0.1", 0)
+    return _ServerTarget(service)
 
 
 async def _run_phase(

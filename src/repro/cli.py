@@ -217,6 +217,72 @@ def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_serving_flags(parser: argparse.ArgumentParser) -> None:
+    """Address, model, checkpoint, tenancy and overload flags shared by
+    serve and fleet (a fleet hands them to every worker)."""
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=7199,
+                        help="port clients connect to")
+    parser.add_argument("--store", default=None,
+                        help="model registry directory (enables OPEN with "
+                             "a model= spec)")
+    parser.add_argument("--model", default=None,
+                        help="default registry spec for sessions that "
+                             "don't name one (needs --store)")
+    parser.add_argument("--checkpoint-dir", default=None,
+                        dest="checkpoint_dir",
+                        help="periodically snapshot live sessions here; a "
+                             "fleet's shared directory enables "
+                             "resume-based failover when a worker dies")
+    parser.add_argument("--checkpoint-every-s", type=float, default=None,
+                        dest="checkpoint_every_s",
+                        help="seconds between checkpoint passes")
+    parser.add_argument("--tenant-config", default=None,
+                        dest="tenant_config",
+                        help="JSON tenancy config: shared base models and "
+                             "per-tenant quotas (needs --store); a fleet's "
+                             "gateway admits against the same quotas "
+                             "fleet-wide")
+    parser.add_argument("--memory-budget-mb", type=_positive_int,
+                        default=None, dest="memory_budget_mb",
+                        help="cap accounted model bytes per worker; idle "
+                             "sessions are evicted to --checkpoint-dir "
+                             "(overrides the config file's "
+                             "memory_budget_bytes)")
+    parser.add_argument("--max-sessions", type=int, default=1024,
+                        dest="max_sessions",
+                        help="live-session ceiling per worker, across all "
+                             "its connections")
+    parser.add_argument("--max-inflight", type=_positive_int, default=None,
+                        dest="max_inflight",
+                        help="admission watermark: shed new OPENs with "
+                             "error=overloaded while this many requests "
+                             "are in flight (in a fleet, at the gateway "
+                             "and every worker)")
+    parser.add_argument("--brownout", action="store_true",
+                        help="enable the event-loop-lag watchdog that "
+                             "degrades service tier by tier under "
+                             "sustained overload")
+
+
+def _check_serving_flags(args) -> None:
+    """Reject the serving-flag combinations serve and fleet cannot run."""
+    if args.model is not None and args.store is None:
+        raise CLIError("--model needs --store DIR")
+    if args.tenant_config is not None and args.store is None:
+        raise CLIError(
+            "--tenant-config needs --store DIR "
+            "(tenant base models live in the registry)"
+        )
+    if (args.checkpoint_dir is None) != (args.checkpoint_every_s is None):
+        raise CLIError(
+            "checkpointing needs both --checkpoint-dir and "
+            "--checkpoint-every-s"
+        )
+    if args.checkpoint_every_s is not None and args.checkpoint_every_s <= 0:
+        raise CLIError("--checkpoint-every-s must be positive")
+
+
 def _build_tracer(args, component: str):
     """A :class:`~repro.obs.trace.Tracer` from the --trace-* flags, or
     ``None`` when tracing is off."""
@@ -456,17 +522,9 @@ def cmd_serve(args) -> int:
 
     from repro.service.server import PrefetchService, ServiceLimits, serve_forever
 
+    _check_serving_flags(args)
     store = None
     default_model = None
-    if args.model is not None and args.store is None:
-        raise CLIError("--model needs --store DIR")
-    if (args.checkpoint_dir is None) != (args.checkpoint_every_s is None):
-        raise CLIError(
-            "checkpointing needs both --checkpoint-dir and "
-            "--checkpoint-every-s"
-        )
-    if args.checkpoint_every_s is not None and args.checkpoint_every_s <= 0:
-        raise CLIError("--checkpoint-every-s must be positive")
     if args.store is not None:
         from repro.store import ModelStore
         from repro.store.codec import SnapshotError
@@ -481,11 +539,6 @@ def cmd_serve(args) -> int:
     tenancy = None
     memory_budget_bytes = None
     if args.tenant_config is not None:
-        if store is None:
-            raise CLIError(
-                "--tenant-config needs --store DIR "
-                "(tenant base models live in the registry)"
-            )
         from repro.tenancy.config import (
             TenancyConfigError,
             load_tenancy_config,
@@ -574,17 +627,7 @@ def cmd_fleet(args) -> int:
 
     from repro.cluster.fleet import serve_fleet
 
-    if args.model is not None and args.store is None:
-        raise CLIError("--model needs --store DIR")
-    if args.tenant_config is not None and args.store is None:
-        raise CLIError("--tenant-config needs --store DIR")
-    if (args.checkpoint_dir is None) != (args.checkpoint_every_s is None):
-        raise CLIError(
-            "checkpointing needs both --checkpoint-dir and "
-            "--checkpoint-every-s"
-        )
-    if args.checkpoint_every_s is not None and args.checkpoint_every_s <= 0:
-        raise CLIError("--checkpoint-every-s must be positive")
+    _check_serving_flags(args)
     try:
         asyncio.run(serve_fleet(
             args.host, args.port,
@@ -979,25 +1022,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve", help="run the online prefetch advisory daemon"
     )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=7199)
-    p_serve.add_argument("--max-sessions", type=int, default=1024,
-                         dest="max_sessions",
-                         help="live-session ceiling across all connections")
+    _add_serving_flags(p_serve)
     p_serve.add_argument("--max-sessions-per-conn", type=int, default=64,
                          dest="max_sessions_per_conn")
-    p_serve.add_argument("--store", default=None,
-                         help="model registry directory (enables OPEN with "
-                              "a model= spec)")
-    p_serve.add_argument("--model", default=None,
-                         help="default registry spec for sessions that "
-                              "don't name one (needs --store)")
-    p_serve.add_argument("--checkpoint-dir", default=None,
-                         dest="checkpoint_dir",
-                         help="periodically snapshot live sessions here")
-    p_serve.add_argument("--checkpoint-every-s", type=float, default=None,
-                         dest="checkpoint_every_s",
-                         help="seconds between checkpoint passes")
     p_serve.add_argument("--idle-timeout-s", type=float, default=300.0,
                          dest="idle_timeout_s",
                          help="drop connections silent for this long "
@@ -1010,24 +1037,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fleet identity (e.g. w2): reported by "
                               "server-level STATS and prefixed onto "
                               "generated session ids")
-    p_serve.add_argument("--tenant-config", default=None,
-                         dest="tenant_config",
-                         help="JSON tenancy config: shared base models and "
-                              "per-tenant quotas (needs --store)")
-    p_serve.add_argument("--memory-budget-mb", type=_positive_int,
-                         default=None, dest="memory_budget_mb",
-                         help="cap accounted model bytes; idle sessions "
-                              "are evicted to --checkpoint-dir (overrides "
-                              "the config file's memory_budget_bytes)")
-    p_serve.add_argument("--max-inflight", type=_positive_int, default=None,
-                         dest="max_inflight",
-                         help="admission watermark: shed new OPENs with "
-                              "error=overloaded while this many requests "
-                              "are in flight")
-    p_serve.add_argument("--brownout", action="store_true",
-                         help="enable the event-loop-lag watchdog that "
-                              "degrades service tier by tier under "
-                              "sustained overload")
     _add_trace_flags(p_serve)
     p_serve.add_argument("--profile", action="store_true",
                          help="time engine hot-path stages and print a "
@@ -1039,43 +1048,9 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="run a sharded advisory fleet: gateway + N supervised workers",
     )
-    p_fleet.add_argument("--host", default="127.0.0.1")
-    p_fleet.add_argument("--port", type=int, default=7199,
-                         help="gateway port clients connect to")
+    _add_serving_flags(p_fleet)
     p_fleet.add_argument("--workers", type=_positive_int, default=2,
                          help="advisory worker subprocesses to supervise")
-    p_fleet.add_argument("--checkpoint-dir", default=None,
-                         dest="checkpoint_dir",
-                         help="shared checkpoint directory; enables "
-                              "resume-based failover when a worker dies")
-    p_fleet.add_argument("--checkpoint-every-s", type=float, default=None,
-                         dest="checkpoint_every_s",
-                         help="seconds between worker checkpoint passes")
-    p_fleet.add_argument("--store", default=None,
-                         help="model registry directory handed to every "
-                              "worker")
-    p_fleet.add_argument("--model", default=None,
-                         help="default registry spec for every worker "
-                              "(needs --store)")
-    p_fleet.add_argument("--tenant-config", default=None,
-                         dest="tenant_config",
-                         help="JSON tenancy config handed to every worker; "
-                              "the gateway admits against the same quotas "
-                              "fleet-wide (needs --store)")
-    p_fleet.add_argument("--memory-budget-mb", type=_positive_int,
-                         default=None, dest="memory_budget_mb",
-                         help="per-worker cap on accounted model bytes")
-    p_fleet.add_argument("--max-sessions", type=int, default=1024,
-                         dest="max_sessions",
-                         help="per-worker live-session ceiling")
-    p_fleet.add_argument("--max-inflight", type=_positive_int, default=None,
-                         dest="max_inflight",
-                         help="admission watermark applied at the gateway "
-                              "and every worker: new OPENs are shed with "
-                              "error=overloaded past it")
-    p_fleet.add_argument("--brownout", action="store_true",
-                         help="enable every worker's event-loop-lag "
-                              "brownout watchdog")
     p_fleet.add_argument("--vnodes", type=_positive_int, default=64,
                          help="virtual nodes per worker on the hash ring")
     p_fleet.add_argument("--probe-interval-s", type=float, default=1.0,

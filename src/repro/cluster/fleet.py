@@ -71,7 +71,7 @@ class Fleet:
     @property
     def port(self) -> int:
         """The gateway port clients connect to."""
-        return self.gateway.port
+        return self.gateway.endpoint.port
 
     @property
     def sessions_lost(self) -> int:
@@ -208,7 +208,7 @@ async def start_fleet(
         tracer=tracer,
     )
     try:
-        await gateway.start(host, port)
+        await gateway.endpoint.start(host, port)
     except BaseException:
         await gateway.aclose()
         await supervisor.stop()
@@ -220,52 +220,27 @@ async def serve_fleet(
     host: str = "127.0.0.1",
     port: int = 7199,
     *,
-    workers: int = 2,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every_s: Optional[float] = None,
-    store: Optional[str] = None,
-    model: Optional[str] = None,
-    tenant_config: Optional[str] = None,
-    memory_budget_mb: Optional[int] = None,
-    max_sessions: int = 1024,
-    max_inflight: Optional[int] = None,
-    brownout: bool = False,
-    vnodes: int = DEFAULT_VNODES,
-    probe_interval_s: float = 1.0,
-    trace_dir: Optional[str] = None,
-    trace_sample: float = 1.0,
-    trace_seed: int = 0,
     ready_message: bool = True,
+    **options: Any,
 ) -> None:
-    """Run gateway + supervised workers until SIGTERM/SIGINT/cancel."""
+    """Run gateway + supervised workers until SIGTERM/SIGINT/cancel.
+
+    ``options`` are :func:`start_fleet`'s keyword parameters, passed
+    through unchanged (``echo`` is this function's own progress printer).
+    """
 
     def _say(message: str) -> None:
         if ready_message:
             print(message, flush=True)
 
     fleet = await start_fleet(
-        host, port,
-        workers=workers,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every_s=checkpoint_every_s,
-        store=store,
-        model=model,
-        tenant_config=tenant_config,
-        memory_budget_mb=memory_budget_mb,
-        max_sessions=max_sessions,
-        max_inflight=max_inflight,
-        brownout=brownout,
-        vnodes=vnodes,
-        probe_interval_s=probe_interval_s,
-        trace_dir=trace_dir,
-        trace_sample=trace_sample,
-        trace_seed=trace_seed,
-        echo=_say if ready_message else None,
+        host, port, echo=_say if ready_message else None, **options,
     )
     try:
         _say(
             f"repro.gateway listening on {host}:{fleet.port} "
-            f"(protocol v{protocol.PROTOCOL_VERSION}, workers={workers})"
+            f"(protocol v{protocol.PROTOCOL_VERSION}, "
+            f"workers={len(fleet.supervisor.workers)})"
         )
         stop_requested = asyncio.Event()
         loop = asyncio.get_running_loop()

@@ -28,9 +28,11 @@ only when even that is impossible.  Journals grow with session length
 (one int per observation); bounded-memory operation comes from clients
 closing sessions, same as the worker's own session table.
 
-Ordering and backpressure mirror the worker: one request at a time per
-client connection, every reply drained before the next read, per-session
-locks serializing cross-connection access and failover.
+Client connections run on the same connection core as a worker
+(:class:`~repro.service.lineserver.LineServer`, the gateway's
+``endpoint``): one request at a time per client connection, every reply
+drained before the next read.  Per-session locks serialize
+cross-connection access and failover.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.cluster.worker import WorkerDirectory
 from repro.service import protocol
+from repro.service.lineserver import LineServer, Send
 from repro.service.metrics import _COUNTER_FIELDS, ServiceMetrics
 from repro.service.overload import (
     AdmissionGuard,
@@ -94,6 +97,7 @@ class GatewayStats:
     sessions_lost: int = 0
     tenants_rejected: int = 0
     errors: int = 0
+    timeouts: int = 0
     overload_rejections: int = 0
     breakers_opened: int = 0
     breakers_closed: int = 0
@@ -113,6 +117,7 @@ class GatewayStats:
             "sessions_lost": self.sessions_lost,
             "tenants_rejected": self.tenants_rejected,
             "errors": self.errors,
+            "timeouts": self.timeouts,
             "overload_rejections": self.overload_rejections,
             "breakers_opened": self.breakers_opened,
             "breakers_closed": self.breakers_closed,
@@ -305,7 +310,7 @@ class AdvisoryGateway:
         directory = StaticWorkerDirectory()           # or WorkerSupervisor
         directory.register("w0", "127.0.0.1", port0)
         gateway = AdvisoryGateway(directory)
-        server = await gateway.start(port=0)
+        await gateway.endpoint.start(port=0)
         ...
         await gateway.aclose()
     """
@@ -353,7 +358,7 @@ class AdvisoryGateway:
         self.overload = AdmissionGuard(overload)
         """Fleet-front admission: the gateway sheds new OPENs before they
         reach any worker, so a flood costs one gateway-side refusal rather
-        than a placement round trip (see :meth:`_shed_reply`)."""
+        than a placement round trip."""
         self.breaker_policy = breaker or BreakerPolicy()
         self._breaker_clock = breaker_clock
         self._breakers: Dict[str, CircuitBreaker] = {}
@@ -363,7 +368,6 @@ class AdvisoryGateway:
         already covers (see :meth:`_compact_journal`)."""
         self.journal_compact_after = journal_compact_after
         self.request_timeout_s = request_timeout_s
-        self.idle_timeout_s = idle_timeout_s
         self.max_line_bytes = max_line_bytes
         self.max_orphaned = max_orphaned
         self.on_route = on_route
@@ -371,18 +375,22 @@ class AdvisoryGateway:
         self._orphans: "OrderedDict[str, None]" = OrderedDict()
         self._links: Dict[str, _WorkerLink] = {}
         self._ids = itertools.count(1)
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
         self._background: Set[asyncio.Task] = set()
+        self.endpoint = LineServer(
+            self._respond, self._orphan_sessions,
+            name="gateway",
+            hello=HelloReply(id=0, server="repro.gateway"),
+            guard=self.overload,
+            counters=self.stats,
+            idle_timeout_s=idle_timeout_s,
+            drain_timeout_s=request_timeout_s,
+            max_line_bytes=max_line_bytes,
+        )
+        """The client-facing TCP endpoint (not listening until
+        ``await gateway.endpoint.start(host, port)``)."""
         directory.add_listener(self._on_membership)
 
     # -------------------------------------------------------------- wiring
-
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            raise RuntimeError("gateway is not started")
-        return self._server.sockets[0].getsockname()[1]
 
     def _link(self, worker_id: str) -> _WorkerLink:
         link = self._links.get(worker_id)
@@ -494,28 +502,14 @@ class AdvisoryGateway:
 
     # ------------------------------------------------------------ lifecycle
 
-    async def start(
-        self, host: str = "127.0.0.1", port: int = 0
-    ) -> asyncio.AbstractServer:
-        self._server = await asyncio.start_server(
-            self.handle_connection, host, port, limit=self.max_line_bytes,
-        )
-        return self._server
-
     async def aclose(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        # Client connections first: their teardown orphans sessions and
+        # may spawn the background closes cancelled next.
+        await self.endpoint.aclose()
         for task in list(self._background):
             task.cancel()
         if self._background:
             await asyncio.gather(*self._background, return_exceptions=True)
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
         for link in self._links.values():
             await link.aclose()
         self._links.clear()
@@ -1141,27 +1135,6 @@ class AdvisoryGateway:
                 self.stats.sessions_closed += 1
             return raw, reply
 
-    def _shed_reply(self, request: Request) -> Optional[ErrorReply]:
-        """Admission check, mirroring the worker-side server's.
-
-        Only brand-new OPENs are shed: resumes and in-flight sessions
-        represent work (and journal/worker state) already paid for, so
-        refusing them would waste more than it saves.  The reply carries
-        ``retry_after_s`` so cooperative clients treat it as backpressure
-        rather than a fault.
-        """
-        if not isinstance(request, OpenRequest) or request.resume is not None:
-            return None
-        if not self.overload.shed_open():
-            return None
-        self.stats.overload_rejections += 1
-        retry_after = self.overload.policy.shed_retry_after_s
-        return ErrorReply(
-            request.id, protocol.E_OVERLOAD,
-            f"gateway overloaded; retry in {retry_after:g}s",
-            retry_after_s=retry_after,
-        )
-
     async def _dispatch(
         self, request: Request, owned: Set[str]
     ) -> Tuple[Optional[bytes], Optional[Reply]]:
@@ -1187,105 +1160,25 @@ class AdvisoryGateway:
 
     # ----------------------------------------------------------- connection
 
-    async def handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+    async def _respond(
+        self, request: Request, owned: Set[str], send: Send
     ) -> None:
-        self.stats.connections_opened += 1
-        owned: Set[str] = set()
-        self._writers.add(writer)
-
-        async def _drain() -> None:
-            await asyncio.wait_for(writer.drain(), self.request_timeout_s)
-
-        try:
-            writer.write(protocol.encode_reply(
-                HelloReply(id=0, server="repro.gateway")
-            ))
-            await _drain()
-            while True:
-                try:
-                    line = await asyncio.wait_for(
-                        reader.readline(), self.idle_timeout_s
-                    )
-                except (asyncio.TimeoutError, TimeoutError):
-                    break
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(protocol.encode_reply(ErrorReply(
-                        0, protocol.E_BAD_REQUEST, "request line too long",
-                    )))
-                    await _drain()
-                    self.stats.errors += 1
-                    break
-                if not line:
-                    break
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    request = protocol.decode_request(stripped)
-                except ProtocolError as exc:
-                    self.stats.errors += 1
-                    writer.write(protocol.encode_reply(
-                        ErrorReply(0, exc.code, str(exc))
-                    ))
-                    await _drain()
-                    continue
-                t_admit = (
-                    time.perf_counter() if self.tracer is not None else 0.0
-                )
-                shed = self._shed_reply(request)
-                if shed is not None:
-                    writer.write(protocol.encode_reply(shed))
-                    await _drain()
-                    continue
-                self.overload.begin()
-                try:
-                    t_begin = (
-                        time.perf_counter()
-                        if self.tracer is not None else 0.0
-                    )
-                    raw, reply = await self._dispatch(request, owned)
-                    # For an OPEN the trace id only exists after dispatch
-                    # (the gateway mints it with the session id), so both
-                    # connection-level spans resolve it here.
-                    trace_id = self._request_trace(request, reply)
-                    if trace_id is not None:
-                        self.tracer.record(
-                            trace_id, "gateway.admission",
-                            t_admit, t_begin - t_admit,
-                        )
-                    t_relay = (
-                        time.perf_counter() if trace_id is not None else 0.0
-                    )
-                    if raw is not None:
-                        writer.write(raw)  # worker reply, byte-for-byte
-                    else:
-                        writer.write(protocol.encode_reply(reply))
-                    await _drain()
-                    if trace_id is not None:
-                        self.tracer.record(
-                            trace_id, "gateway.reply_relay",
-                            t_relay, time.perf_counter() - t_relay,
-                        )
-                finally:
-                    self.overload.end()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except (asyncio.TimeoutError, TimeoutError):
-            pass
-        except asyncio.CancelledError:
-            pass  # teardown below still orphans this connection's sessions
-        finally:
-            self._writers.discard(writer)
-            self._orphan_sessions(owned)
-            self.stats.connections_closed += 1
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+        t_admit = time.perf_counter() if self.tracer is not None else 0.0
+        raw, reply = await self._dispatch(request, owned)
+        # For an OPEN the trace id only exists after dispatch (the
+        # gateway mints it with the session id), so both spans of the
+        # client connection resolve it here.
+        trace_id = self._request_trace(request, reply)
+        if trace_id is not None:
+            self.tracer.record(trace_id, "gateway.admission", t_admit, 0.0)
+        t_relay = time.perf_counter() if trace_id is not None else 0.0
+        # A worker's reply goes out byte-for-byte.
+        await send(raw if raw is not None else protocol.encode_reply(reply))
+        if trace_id is not None:
+            self.tracer.record(
+                trace_id, "gateway.reply_relay",
+                t_relay, time.perf_counter() - t_relay,
+            )
 
     def _request_trace(
         self, request: Request, reply: Optional[Reply]

@@ -11,8 +11,11 @@ cost-benefit core into exactly that — a long-lived advisory daemon:
 * :mod:`~repro.service.protocol` — versioned newline-delimited-JSON wire
   schema (OPEN / OBSERVE / STATS / CLOSE);
 * :mod:`~repro.service.server`   — asyncio TCP server multiplexing many
-  concurrent sessions with per-session limits, backpressure, idle/request
-  timeouts, degraded-mode serving, and graceful SIGTERM drain;
+  concurrent sessions with per-session limits, degraded-mode serving,
+  and graceful SIGTERM drain;
+* :mod:`~repro.service.lineserver` — the connection core under both the
+  server and the fleet gateway: listener, HELLO, idle/drain timeouts,
+  line limit, load shedding, backpressure and teardown;
 * :mod:`~repro.service.client`   — async and blocking clients, plus
   :class:`ResilientAsyncClient`, which retries with backoff and resumes a
   session decision-identically across connection failures;

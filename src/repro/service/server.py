@@ -5,13 +5,12 @@ sessions (e.g. one per application being advised).  Sessions are isolated
 — every OPEN builds a fresh policy, prefetch tree, and cost-benefit
 estimator — and are torn down with the connection that opened them.
 
-Flow control is cooperative: requests on one connection are processed in
-order, every reply is ``drain()``-ed before the next request is read (so a
-slow reader backpressures its own pipeline, not the whole server), and the
-stream reader's line limit bounds per-connection buffering.  Session work
-itself is synchronous pure-Python; the event loop interleaves connections
-between requests, which is the right trade for a model-driven advisor
-whose per-request work is microseconds.
+:class:`PrefetchService` is a handler on the shared connection core
+(:class:`~repro.service.lineserver.LineServer`, its ``endpoint``), which
+owns the listener, framing, timeouts, shedding and flow control.  Session
+work itself is synchronous pure-Python; the event loop interleaves
+connections between requests, which is the right trade for a
+model-driven advisor whose per-request work is microseconds.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> session)
 
 from repro.params import PAPER_PARAMS, SystemParams
 from repro.service import protocol
+from repro.service.lineserver import LineServer, Send
 from repro.service.metrics import ServiceMetrics
 from repro.service.overload import (
     AdmissionGuard,
@@ -51,7 +51,6 @@ from repro.service.protocol import (
     ObserveRequest,
     OpenReply,
     OpenRequest,
-    ProtocolError,
     Reply,
     Request,
     StatsReply,
@@ -92,7 +91,7 @@ _BUDGET_CHECK_INTERVAL = 64
 
 
 class PrefetchService:
-    """Session table + request dispatcher (transport-independent)."""
+    """Session table + request dispatcher; ``endpoint`` serves it over TCP."""
 
     def __init__(
         self,
@@ -153,9 +152,32 @@ class PrefetchService:
         self.evicted: Dict[str, Optional[str]] = {}
         self._session_ids = itertools.count(1)
         self._observes_since_budget_check = 0
-        self._writers: Set[asyncio.StreamWriter] = set()
+        self.endpoint = LineServer(
+            self._respond, self.drop_connection_sessions,
+            name="server",
+            hello=HelloReply(id=0, max_sessions=self.limits.max_sessions),
+            guard=self.overload,
+            counters=self.metrics,
+            idle_timeout_s=self.limits.idle_timeout_s,
+            drain_timeout_s=self.limits.request_timeout_s,
+            max_line_bytes=self.limits.max_line_bytes,
+        )
+        """The TCP endpoint serving this service (not listening until
+        ``await service.endpoint.start(host, port)``)."""
+
+    async def aclose(self) -> None:
+        """Stop serving: close the endpoint and its connections, then
+        flush the tracer."""
+        await self.endpoint.aclose()
+        if self.tracer is not None:
+            self.tracer.close()
 
     # ----------------------------------------------------------- dispatch
+
+    async def _respond(
+        self, request: Request, owned: Set[str], send: Send
+    ) -> None:
+        await send(protocol.encode_reply(self.handle(request, owned)))
 
     def handle(self, request: Request, owned: Set[str]) -> Reply:
         """Serve one decoded request; ``owned`` is the connection's sessions."""
@@ -183,28 +205,6 @@ class PrefetchService:
                 request.cmd, time.perf_counter() - started
             )
         return reply
-
-    def shed_reply(self, request: Request) -> Optional[ErrorReply]:
-        """The load-shedding decision for one decoded request.
-
-        Only *new* OPENs are sheddable — resumes recover work the server
-        already accepted, and OBSERVE/STATS/CLOSE act on admitted
-        sessions.  Returns the ``E_OVERLOAD`` reply to send (with the
-        policy's ``retry_after_s`` hint) or ``None`` to admit.  Shed
-        replies bypass :meth:`handle`, so they count as
-        ``overload_rejections``, not ``errors``: backoff, not fault.
-        """
-        if not isinstance(request, OpenRequest) or request.resume is not None:
-            return None
-        if not self.overload.shed_open():
-            return None
-        self.metrics.overload_rejections += 1
-        retry_after = self.overload.policy.shed_retry_after_s
-        return ErrorReply(
-            request.id, protocol.E_OVERLOAD,
-            f"server overloaded; retry in {retry_after:g}s",
-            retry_after_s=retry_after,
-        )
 
     def _handle_open(self, request: OpenRequest, owned: Set[str]) -> Reply:
         limits = self.limits
@@ -949,116 +949,6 @@ class PrefetchService:
             self.metrics.sessions_closed += 1
         owned.clear()
 
-    # --------------------------------------------------------- connection
-
-    async def handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self.metrics.connections_opened += 1
-        owned: Set[str] = set()
-        self._writers.add(writer)
-        limits = self.limits
-
-        async def _drain() -> None:
-            # A reader that stops consuming must not wedge this handler:
-            # bound every drain by the request timeout.
-            await asyncio.wait_for(writer.drain(), limits.request_timeout_s)
-
-        try:
-            writer.write(protocol.encode_reply(
-                HelloReply(id=0, max_sessions=self.limits.max_sessions)
-            ))
-            await _drain()
-            while True:
-                try:
-                    line = await asyncio.wait_for(
-                        reader.readline(), limits.idle_timeout_s
-                    )
-                except (asyncio.TimeoutError, TimeoutError):
-                    self.metrics.timeouts += 1
-                    break
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(protocol.encode_reply(ErrorReply(
-                        0, protocol.E_BAD_REQUEST, "request line too long",
-                    )))
-                    await _drain()
-                    self.metrics.errors += 1
-                    break
-                if not line:
-                    break
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    request = protocol.decode_request(stripped)
-                except ProtocolError as exc:
-                    self.metrics.errors += 1
-                    writer.write(protocol.encode_reply(
-                        ErrorReply(0, exc.code, str(exc))
-                    ))
-                    await _drain()
-                    continue
-                shed = self.shed_reply(request)
-                if shed is not None:
-                    writer.write(protocol.encode_reply(shed))
-                    await _drain()
-                    continue
-                # In-flight from decode to drained reply: the interval
-                # the admission watermark measures.
-                self.overload.begin()
-                try:
-                    writer.write(protocol.encode_reply(
-                        self.handle(request, owned)
-                    ))
-                    await _drain()
-                finally:
-                    self.overload.end()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except (asyncio.TimeoutError, TimeoutError):
-            self.metrics.timeouts += 1
-        except asyncio.CancelledError:
-            # Swallowed, not re-raised: handlers are only cancelled at
-            # loop teardown (drain/shutdown), and 3.11's streams
-            # done-callback calls task.exception() on cancelled handler
-            # tasks, printing tracebacks for an orderly exit.  The
-            # finally block below still detaches this connection's
-            # sessions, which is exactly what shutdown wants.
-            pass
-        finally:
-            self._writers.discard(writer)
-            self.drop_connection_sessions(owned)
-            self.metrics.connections_closed += 1
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    def close_connections(self) -> None:
-        """Close every tracked client connection (used by drain)."""
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
-
-    async def start(
-        self, host: str = "127.0.0.1", port: int = 0
-    ) -> asyncio.AbstractServer:
-        """Bind and start serving; returns the listening asyncio server."""
-        return await asyncio.start_server(
-            self.handle_connection, host, port,
-            limit=self.limits.max_line_bytes,
-        )
-
-
-def bound_port(server: asyncio.AbstractServer) -> int:
-    """The actual port of a (possibly port-0) listening server."""
-    return server.sockets[0].getsockname()[1]
-
 
 def wait_port_ready(
     host: str, port: int, *, timeout: float = 10.0, interval: float = 0.02
@@ -1090,7 +980,6 @@ def wait_port_ready(
 
 async def drain_service(
     service: PrefetchService,
-    server: Optional[asyncio.AbstractServer] = None,
     *,
     checkpoint_dir: Optional[str] = None,
 ) -> int:
@@ -1104,9 +993,7 @@ async def drain_service(
     With no checkpoint directory the sessions cannot be persisted, but the
     listener and connections are still shut down cleanly.
     """
-    if server is not None:
-        server.close()
-        await server.wait_closed()
+    service.endpoint.close()
     directory = (
         checkpoint_dir if checkpoint_dir is not None else service.checkpoint_dir
     )
@@ -1117,9 +1004,7 @@ async def drain_service(
             service.write_checkpoints, snaps, directory
         )
     service.metrics.drained_sessions += len(snaps)
-    service.close_connections()
-    if service.tracer is not None:
-        service.tracer.flush()
+    await service.aclose()
     return drained
 
 
@@ -1140,9 +1025,9 @@ async def serve_forever(
     service = service if service is not None else PrefetchService()
     if checkpoint_dir is not None and service.checkpoint_dir is None:
         service.checkpoint_dir = checkpoint_dir
-    server = await service.start(host, port)
+    await service.endpoint.start(host, port)
     if ready_message:
-        print(f"repro.service listening on {host}:{bound_port(server)} "
+        print(f"repro.service listening on {host}:{service.endpoint.port} "
               f"(protocol v{protocol.PROTOCOL_VERSION})", flush=True)
 
     async def _checkpoint_loop() -> None:
@@ -1196,36 +1081,19 @@ async def serve_forever(
     except (NotImplementedError, RuntimeError):
         pass  # non-main thread or platform without signal support
 
-    serve_task: Optional[asyncio.Task] = None
-    drain_task: Optional[asyncio.Task] = None
     try:
-        async with server:
-            serve_task = asyncio.ensure_future(server.serve_forever())
-            drain_task = asyncio.ensure_future(drain_requested.wait())
-            done, _ = await asyncio.wait(
-                {serve_task, drain_task},
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-            if drain_task in done:
-                serve_task.cancel()
-                count = await drain_service(
-                    service, server, checkpoint_dir=checkpoint_dir
-                )
-                if ready_message:
-                    print(
-                        f"SIGTERM: drained {count} session(s); exiting",
-                        flush=True,
-                    )
-            else:
-                await serve_task  # propagate cancellation / errors
+        await drain_requested.wait()
+        count = await drain_service(service, checkpoint_dir=checkpoint_dir)
+        if ready_message:
+            print(f"SIGTERM: drained {count} session(s); exiting",
+                  flush=True)
     finally:
-        for task in (serve_task, drain_task, checkpointer, watchdog_task):
-            if task is not None and not task.done():
+        for task in (checkpointer, watchdog_task):
+            if task is not None:
                 task.cancel()
         if sigterm_installed:
             loop.remove_signal_handler(signal.SIGTERM)
-        if service.tracer is not None:
-            service.tracer.close()
+        await service.aclose()
 
 
 class BackgroundServer:
@@ -1271,24 +1139,24 @@ class BackgroundServer:
         loop = asyncio.new_event_loop()
         self._loop = loop
         asyncio.set_event_loop(loop)
+        endpoint = self.service.endpoint
         try:
-            server = loop.run_until_complete(
-                self.service.start(self.host, self._requested_port)
+            loop.run_until_complete(
+                endpoint.start(self.host, self._requested_port)
             )
         except BaseException as exc:  # surface bind errors to start()
             self._startup_error = exc
             self._started.set()
             loop.close()
             return
-        self.port = bound_port(server)
+        self.port = endpoint.port
         self._started.set()
         try:
             loop.run_forever()
         finally:
-            server.close()
-            loop.run_until_complete(server.wait_closed())
-            if self.service.tracer is not None:
-                self.service.tracer.close()
+            # Connection handlers end while the loop still runs, so none
+            # is left to be destroyed mid-await when it closes.
+            loop.run_until_complete(self.service.aclose())
             loop.close()
 
     def stop(self) -> None:

@@ -5,33 +5,6 @@ import pytest
 from repro.analysis.scheduler import RunSpec, execute, run_batch, spec_hash
 
 
-class TestDeprecationShim:
-    def test_parallel_reexports_scheduler_objects(self):
-        # The legacy module must keep importing until its removal PR, and
-        # it must hand back the *same* objects (hash compatibility).
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.analysis import parallel
-
-        assert parallel.RunSpec is RunSpec
-        assert parallel.execute is execute
-        assert parallel.run_batch is run_batch
-        assert parallel.spec_hash is spec_hash
-
-    def test_import_emits_deprecation_warning(self):
-        # The shim must *say* it is deprecated, not just act the part —
-        # a fresh import raises DeprecationWarning pointing at scheduler.
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.analysis.parallel", None)
-        with pytest.warns(DeprecationWarning,
-                          match="repro.analysis.scheduler"):
-            importlib.import_module("repro.analysis.parallel")
-
-
 def spec(**overrides):
     base = dict(
         trace_name="cad",

@@ -48,7 +48,7 @@ class _Fleet:
         )
 
     async def __aenter__(self):
-        await self.gateway.start(port=0)
+        await self.gateway.endpoint.start(port=0)
         return self
 
     async def __aexit__(self, *exc_info):
@@ -80,7 +80,7 @@ def test_dead_worker_trips_breaker_and_sessions_resume_on_successor(
             breaker=BreakerPolicy(failure_threshold=1, cooldown_s=30.0),
         ) as fleet:
             async with await AsyncServiceClient.connect(
-                port=fleet.gateway.port
+                port=fleet.gateway.endpoint.port
             ) as client:
                 sid = await client.open(policy="tree", cache_size=CACHE)
                 got = [
@@ -130,7 +130,7 @@ def test_kill_mid_replay_with_breaker_open_is_lossless(tmp_path):
 
             report, _ = await asyncio.gather(
                 replay_async(
-                    blocks, port=fleet.gateway.port, clients=4,
+                    blocks, port=fleet.gateway.endpoint.port, clients=4,
                     policy="tree", cache_size=CACHE,
                 ),
                 assassin(),
@@ -160,7 +160,7 @@ def test_breaker_closes_after_successful_half_open_probe():
             breaker_clock=lambda: clock["now"],
         ) as fleet:
             async with await AsyncServiceClient.connect(
-                port=fleet.gateway.port
+                port=fleet.gateway.endpoint.port
             ) as client:
                 sid = await client.open(policy="no-prefetch", cache_size=8)
                 worker_id = fleet.gateway.sessions[sid].worker_id

@@ -115,10 +115,10 @@ class TestAcceptance:
             )
             async with supervisor:
                 gateway = AdvisoryGateway(supervisor, request_timeout_s=10.0)
-                await gateway.start(port=0)
+                await gateway.endpoint.start(port=0)
                 try:
                     async with await AsyncServiceClient.connect(
-                        port=gateway.port
+                        port=gateway.endpoint.port
                     ) as client:
                         sids = [
                             await client.open(

@@ -50,7 +50,7 @@ class _Fleet:
         )
 
     async def __aenter__(self):
-        await self.gateway.start(port=0)
+        await self.gateway.endpoint.start(port=0)
         return self
 
     async def __aexit__(self, *exc_info):
@@ -75,7 +75,7 @@ class TestParity:
         async def through_gateway():
             async with _Fleet(3) as fleet:
                 client = await AsyncServiceClient.connect(
-                    port=fleet.gateway.port
+                    port=fleet.gateway.endpoint.port
                 )
                 assert client.hello.server == "repro.gateway"
                 async with client:
@@ -95,7 +95,7 @@ class TestParity:
         async def scenario():
             async with _Fleet(3) as fleet:
                 async with await AsyncServiceClient.connect(
-                    port=fleet.gateway.port
+                    port=fleet.gateway.endpoint.port
                 ) as client:
                     for _ in range(24):
                         await client.open(policy="no-prefetch", cache_size=8)
@@ -116,7 +116,7 @@ class TestParity:
         async def scenario():
             async with _Fleet(2) as fleet:
                 return await replay_async(
-                    blocks, port=fleet.gateway.port, clients=3,
+                    blocks, port=fleet.gateway.endpoint.port, clients=3,
                     policy="tree", cache_size=CACHE,
                 )
 
@@ -136,7 +136,7 @@ class TestFailover:
         async def scenario():
             async with _Fleet(2, checkpoint_dir=ckpt) as fleet:
                 async with await AsyncServiceClient.connect(
-                    port=fleet.gateway.port
+                    port=fleet.gateway.endpoint.port
                 ) as client:
                     sid = await client.open(policy="tree", cache_size=CACHE)
                     got = [
@@ -171,7 +171,7 @@ class TestFailover:
         async def scenario():
             async with _Fleet(2, checkpoint_dir=ckpt) as fleet:
                 async with await AsyncServiceClient.connect(
-                    port=fleet.gateway.port
+                    port=fleet.gateway.endpoint.port
                 ) as client:
                     sid = await client.open(policy="tree", cache_size=CACHE)
                     got = []
@@ -202,7 +202,7 @@ class TestFailover:
         async def scenario():
             async with _Fleet(2) as fleet:  # no checkpoint_dir
                 async with await AsyncServiceClient.connect(
-                    port=fleet.gateway.port
+                    port=fleet.gateway.endpoint.port
                 ) as client:
                     sid = await client.open(policy="tree", cache_size=CACHE)
                     for block in blocks[:100]:
@@ -234,7 +234,7 @@ class TestFailover:
         async def scenario():
             async with _Fleet(2, checkpoint_dir=ckpt) as fleet:
                 async with await AsyncServiceClient.connect(
-                    port=fleet.gateway.port
+                    port=fleet.gateway.endpoint.port
                 ) as client:
                     sid = await client.open(policy="tree", cache_size=CACHE)
                     for block in _blocks(50):
@@ -257,7 +257,7 @@ class TestFailover:
         async def scenario():
             async with _Fleet(2) as fleet:
                 async with await AsyncServiceClient.connect(
-                    port=fleet.gateway.port
+                    port=fleet.gateway.endpoint.port
                 ) as client:
                     sid = await client.open(policy="tree", cache_size=CACHE)
                     for block in _blocks(30):
@@ -284,7 +284,7 @@ class TestReattach:
         async def scenario():
             async with _Fleet(2) as fleet:
                 client1 = await AsyncServiceClient.connect(
-                    port=fleet.gateway.port
+                    port=fleet.gateway.endpoint.port
                 )
                 sid = await client1.open(policy="tree", cache_size=CACHE)
                 got = [
@@ -297,7 +297,7 @@ class TestReattach:
                     if fleet.gateway.stats.sessions_orphaned:
                         break
                 client2 = await AsyncServiceClient.connect(
-                    port=fleet.gateway.port
+                    port=fleet.gateway.endpoint.port
                 )
                 resumed = await client2.open_session(resume=sid)
                 assert resumed.resumed
@@ -318,7 +318,7 @@ class TestReattach:
         async def scenario():
             async with _Fleet(1) as fleet:
                 async with await AsyncServiceClient.connect(
-                    port=fleet.gateway.port
+                    port=fleet.gateway.endpoint.port
                 ) as client:
                     sid = await client.open(policy="no-prefetch", cache_size=8)
                     with pytest.raises(ServiceError) as excinfo:
@@ -345,7 +345,7 @@ class TestChaosBetweenGatewayAndWorker:
                     fleet.directory.register("w0", "127.0.0.1", proxy.port)
                     fleet.gateway._links.pop("w0", None)
                     async with await AsyncServiceClient.connect(
-                        port=fleet.gateway.port
+                        port=fleet.gateway.endpoint.port
                     ) as client:
                         sids = [
                             await client.open(
@@ -375,7 +375,7 @@ class TestFleetStats:
         async def scenario():
             async with _Fleet(3) as fleet:
                 async with await AsyncServiceClient.connect(
-                    port=fleet.gateway.port
+                    port=fleet.gateway.endpoint.port
                 ) as client:
                     sids = [
                         await client.open(policy="no-prefetch", cache_size=8)
@@ -425,7 +425,7 @@ class TestJournalCompaction:
                 2, checkpoint_dir=ckpt, journal_compact_after=64
             ) as fleet:
                 async with await AsyncServiceClient.connect(
-                    port=fleet.gateway.port
+                    port=fleet.gateway.endpoint.port
                 ) as client:
                     sid = await client.open(policy="tree", cache_size=CACHE)
                     got = [
@@ -473,7 +473,7 @@ class TestJournalCompaction:
         async def scenario():
             async with _Fleet(2, journal_compact_after=16) as fleet:
                 async with await AsyncServiceClient.connect(
-                    port=fleet.gateway.port
+                    port=fleet.gateway.endpoint.port
                 ) as client:
                     sid = await client.open(policy="no-prefetch",
                                             cache_size=8)

@@ -52,7 +52,7 @@ class _TracedFleet:
         )
 
     async def __aenter__(self):
-        await self.gateway.start(port=0)
+        await self.gateway.endpoint.start(port=0)
         return self
 
     async def __aexit__(self, *exc_info):
@@ -87,7 +87,7 @@ class TestFullPath:
             )
             async with _TracedFleet(2, str(tmp_path)) as fleet:
                 report = await replay_async(
-                    blocks, port=fleet.gateway.port, clients=1,
+                    blocks, port=fleet.gateway.endpoint.port, clients=1,
                     policy="tree", cache_size=CACHE, tracer=client_tracer,
                 )
             client_tracer.close()
@@ -150,7 +150,7 @@ class TestFullPath:
                 fleet.gateway.tracer.sample = 0.0
                 fleet.workers["w0"].service.tracer.sample = 0.0
                 await replay_async(
-                    blocks, port=fleet.gateway.port, clients=1,
+                    blocks, port=fleet.gateway.endpoint.port, clients=1,
                     policy="tree", cache_size=CACHE, tracer=client_tracer,
                 )
             client_tracer.close()
@@ -176,7 +176,7 @@ class TestFailoverLineage:
                 2, str(trace_dir), checkpoint_dir=ckpt
             ) as fleet:
                 async with await AsyncServiceClient.connect(
-                    port=fleet.gateway.port
+                    port=fleet.gateway.endpoint.port
                 ) as client:
                     reply = await client.open_session(
                         policy="tree", cache_size=CACHE, trace=trace_id,

@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+from repro.cluster import AdvisoryGateway, StaticWorkerDirectory
 from repro.service import protocol
 from repro.service.client import (
     AsyncServiceClient,
@@ -28,7 +29,6 @@ from repro.service.server import (
     BackgroundServer,
     PrefetchService,
     ServiceLimits,
-    bound_port,
     drain_service,
 )
 from repro.service.session import PrefetchSession
@@ -58,12 +58,11 @@ def _retry(**overrides):
 
 async def _with_server(coro, **service_kwargs):
     service = PrefetchService(**service_kwargs)
-    server = await service.start("127.0.0.1", 0)
+    await service.endpoint.start("127.0.0.1", 0)
     try:
-        return await coro(service, bound_port(server))
+        return await coro(service, service.endpoint.port)
     finally:
-        server.close()
-        await server.wait_closed()
+        await service.aclose()
 
 
 class TestFaultPlan:
@@ -298,19 +297,17 @@ class TestDrain:
         ckpt = tmp_path / "drain"
 
         async def scenario(service, port):
-            server = await service.start("127.0.0.1", 0)
+            await service.endpoint.start("127.0.0.1", 0)
             clients = []
             for offset in range(3):
                 client = await AsyncServiceClient.connect(
-                    "127.0.0.1", bound_port(server)
+                    "127.0.0.1", service.endpoint.port
                 )
                 session = await client.open(policy="tree", cache_size=CACHE)
                 for block in _blocks(50, seed=offset + 1):
                     await client.observe(session, block)
                 clients.append((client, session))
-            drained = await drain_service(
-                service, server, checkpoint_dir=str(ckpt)
-            )
+            drained = await drain_service(service, checkpoint_dir=str(ckpt))
             # drained connections read EOF, not a hang
             for client, _ in clients:
                 assert await client._reader.readline() == b""
@@ -357,22 +354,43 @@ class TestDrain:
 
 
 class TestTimeouts:
-    def test_idle_connection_is_reaped(self):
-        async def scenario(service, port):
-            client = await AsyncServiceClient.connect("127.0.0.1", port)
-            session = await client.open(policy="tree", cache_size=CACHE)
-            assert session
-            # send nothing; the server must hang up on its own
-            eof = await asyncio.wait_for(client._reader.readline(), 5.0)
-            await client.aclose()
-            return eof, service.metrics.as_dict()
+    @pytest.mark.parametrize("flavor", ["bare", "gateway"])
+    def test_idle_connection_is_reaped(self, flavor):
+        async def scenario():
+            # Only the front times out: behind a gateway, the worker's
+            # link must stay up.
+            worker = front = PrefetchService(limits=ServiceLimits(
+                idle_timeout_s=0.2 if flavor == "bare" else 300.0
+            ))
+            await worker.endpoint.start("127.0.0.1", 0)
+            if flavor == "gateway":
+                directory = StaticWorkerDirectory()
+                directory.register("w0", "127.0.0.1", worker.endpoint.port)
+                front = AdvisoryGateway(directory, idle_timeout_s=0.2)
+                await front.endpoint.start(port=0)
+            try:
+                client = await AsyncServiceClient.connect(
+                    "127.0.0.1", front.endpoint.port
+                )
+                session = await client.open(policy="tree", cache_size=CACHE)
+                assert session
+                # send nothing; the front must hang up on its own
+                eof = await asyncio.wait_for(client._reader.readline(), 5.0)
+                await client.aclose()
+            finally:
+                if flavor == "gateway":
+                    await front.aclose()
+                await worker.aclose()
+            counters = front.stats if flavor == "gateway" else front.metrics
+            return eof, counters.as_dict()
 
-        eof, metrics = asyncio.run(_with_server(
-            scenario, limits=ServiceLimits(idle_timeout_s=0.2)
-        ))
+        eof, counters = asyncio.run(scenario())
         assert eof == b""
-        assert metrics["timeouts"] == 1
-        assert metrics["live_sessions"] == 0  # reaped, not leaked
+        assert counters["timeouts"] == 1
+        if flavor == "bare":
+            assert counters["live_sessions"] == 0  # reaped, not leaked
+        else:
+            assert counters["sessions_orphaned"] == 1  # kept resumable
 
     def test_sync_client_surfaces_read_timeout(self):
         """A listener that accepts but never speaks must raise a clean

@@ -70,8 +70,8 @@ class _Target:
             directory = StaticWorkerDirectory()
             directory.register("w0", "127.0.0.1", self._server.port)
             self._gateway = AdvisoryGateway(directory, request_timeout_s=5.0)
-            await self._gateway.start(port=0)
-            self.port = self._gateway.port
+            await self._gateway.endpoint.start(port=0)
+            self.port = self._gateway.endpoint.port
         return self
 
     async def __aexit__(self, *exc_info):

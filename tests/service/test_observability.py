@@ -99,10 +99,10 @@ class TestFleetPrometheus:
                 workers.append(server)
                 directory.register(f"w{i}", "127.0.0.1", server.port)
             gateway = AdvisoryGateway(directory, request_timeout_s=5.0)
-            await gateway.start(port=0)
+            await gateway.endpoint.start(port=0)
             try:
                 async with await AsyncServiceClient.connect(
-                    port=gateway.port
+                    port=gateway.endpoint.port
                 ) as client:
                     sid = await client.open(policy="tree", cache_size=64)
                     for block in range(15):

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.cluster import AdvisoryGateway, StaticWorkerDirectory
 from repro.service import protocol
 from repro.service.overload import (
     TIER_CAP_PREFETCH,
@@ -250,15 +251,21 @@ async def _raw_connect(port):
 
 
 class TestShedUnderFlood:
-    def test_flooded_opens_get_clean_overload_replies(self):
+    @pytest.mark.parametrize("flavor", ["bare", "gateway"])
+    def test_flooded_opens_get_clean_overload_replies(self, flavor):
         """Pin the guard at its watermark and flood OPENs: every one is
         refused with a parseable E_OVERLOAD + retry_after_s, nothing
         wedges, and service resumes the moment pressure lifts."""
+        policy = OverloadPolicy(max_inflight=1, shed_retry_after_s=0.25)
         server = BackgroundServer(service=PrefetchService(
-            identity="w0",
-            overload=OverloadPolicy(max_inflight=1, shed_retry_after_s=0.25),
+            identity="w0", overload=policy if flavor == "bare" else None,
         )).start().wait_ready()
-        service = server.service
+        front, counters = server.service, server.service.metrics
+        if flavor == "gateway":
+            directory = StaticWorkerDirectory()
+            directory.register("w0", "127.0.0.1", server.port)
+            front = AdvisoryGateway(directory, overload=policy)
+            counters = front.stats
 
         async def flood_one(port, request_id):
             reader, writer = await _raw_connect(port)
@@ -273,17 +280,25 @@ class TestShedUnderFlood:
                 await writer.wait_closed()
 
         async def scenario():
-            # Hold the server at the watermark so the flood outcome is
-            # deterministic: an int bump is safe across the loop thread.
-            service.overload.begin()
+            if flavor == "gateway":
+                await front.endpoint.start(port=0)
+            port = front.endpoint.port
             try:
-                replies = await asyncio.gather(*[
-                    flood_one(server.port, i) for i in range(32)
-                ])
+                # Hold the front at the watermark so the flood outcome is
+                # deterministic: an int bump is safe across the loop
+                # thread.
+                front.overload.begin()
+                try:
+                    replies = await asyncio.gather(*[
+                        flood_one(port, i) for i in range(32)
+                    ])
+                finally:
+                    front.overload.end()
+                # Pressure lifted: a fresh OPEN must succeed on the spot.
+                after = await flood_one(port, 99)
             finally:
-                service.overload.end()
-            # Pressure lifted: a fresh OPEN must succeed on the spot.
-            after = await flood_one(server.port, 99)
+                if flavor == "gateway":
+                    await front.aclose()
             return replies, after
 
         try:
@@ -297,8 +312,8 @@ class TestShedUnderFlood:
             assert reply["retry_after_s"] == 0.25
             assert "Traceback" not in reply["message"]
         assert after["ok"] is True and after["cmd"] == "open"
-        assert service.metrics.overload_rejections == 32
-        assert service.metrics.errors == 0  # backoff, not fault
+        assert counters.overload_rejections == 32
+        assert counters.errors == 0  # backoff, not fault
 
     def test_shed_spares_resumes_and_admitted_sessions(self):
         """Only brand-new OPENs are sheddable: observes on an admitted
@@ -308,14 +323,14 @@ class TestShedUnderFlood:
         )
         service.overload.begin()
         try:
-            shed = service.shed_reply(protocol.OpenRequest(id=1))
+            shed = service.endpoint.shed_reply(protocol.OpenRequest(id=1))
             assert shed is not None
             assert shed.error == protocol.E_OVERLOAD
             assert shed.retry_after_s == service.overload.policy.shed_retry_after_s
             resume = protocol.OpenRequest(id=2, resume="s-live")
-            assert service.shed_reply(resume) is None
+            assert service.endpoint.shed_reply(resume) is None
             observe = protocol.ObserveRequest(id=3, session="s", block=7)
-            assert service.shed_reply(observe) is None
+            assert service.endpoint.shed_reply(observe) is None
         finally:
             service.overload.end()
 

@@ -23,7 +23,6 @@ from repro.service.server import (
     BackgroundServer,
     PrefetchService,
     ServiceLimits,
-    bound_port,
 )
 from repro.sim.engine import Simulator
 from repro.traces.synthetic import make_trace
@@ -38,12 +37,11 @@ def _blocks(name="cad", refs=1200, seed=1999):
 async def _with_server(coro, **service_kwargs):
     """Run ``coro(service, port)`` against a live loopback server."""
     service = PrefetchService(**service_kwargs)
-    server = await service.start("127.0.0.1", 0)
+    await service.endpoint.start("127.0.0.1", 0)
     try:
-        return await coro(service, bound_port(server))
+        return await coro(service, service.endpoint.port)
     finally:
-        server.close()
-        await server.wait_closed()
+        await service.aclose()
 
 
 class TestConcurrentSessions:
