@@ -279,6 +279,14 @@ def render_comparison(comparison: Comparison) -> str:
         lines.append(
             "  verdict:   REPRODUCED — bundle hashes are identical"
         )
+    if not any(
+        (_number(phase, "prefetches_recommended") or 0) > 0
+        for phase in base.deterministic_phases
+    ):
+        lines.append(
+            "  warning:   baseline hashes no prefetch decision; REPRODUCED "
+            "does not exercise the cost-benefit gate"
+        )
     header = f"  {'metric':<28}{'baseline':>14}{'candidate':>14}" \
              f"{'delta':>12}  flag"
     current_phase = None

@@ -285,8 +285,12 @@ def _check_serving_flags(args) -> None:
 
 def _build_tracer(args, component: str):
     """A :class:`~repro.obs.trace.Tracer` from the --trace-* flags, or
-    ``None`` when tracing is off."""
-    if args.trace_dir is None:
+    ``None`` when tracing is off.
+
+    ``--profile`` without ``--trace-dir`` gets a ring-only tracer: it
+    writes no file, and its per-stage totals are the profile.
+    """
+    if args.trace_dir is None and not args.profile:
         return None
     from repro.obs.trace import Tracer
 
@@ -567,10 +571,6 @@ def cmd_serve(args) -> int:
             max_inflight=args.max_inflight, brownout=args.brownout,
         )
     tracer = _build_tracer(args, args.worker_id or "worker")
-    if args.profile:
-        from repro.obs import profile as profile_hooks
-
-        profile_hooks.enable()
     service = PrefetchService(
         default_params=_params(args),
         limits=ServiceLimits(
@@ -600,9 +600,7 @@ def cmd_serve(args) -> int:
         metrics.pop("outcomes", None)
         print(render_dict(metrics, title="service metrics at shutdown"))
     if args.profile:
-        from repro.obs import profile as profile_hooks
-
-        print(profile_hooks.format_report("serve profile"), flush=True)
+        print(tracer.format_stages("serve profile"), flush=True)
     from repro.service import protocol as service_protocol
 
     # One greppable line mirroring the fleet summary's tenancy pair, on
@@ -729,10 +727,6 @@ def cmd_replay(args) -> int:
     blocks = _load_workload(args)
     overrides = _param_overrides(args)
     tracer = _build_tracer(args, "client")
-    if args.profile:
-        from repro.obs import profile as profile_hooks
-
-        profile_hooks.enable()
     try:
         report = replay(
             blocks,
@@ -784,10 +778,8 @@ def cmd_replay(args) -> int:
               f"overload_rejections={report.overload_rejections} "
               f"overload_backoffs={report.overload_backoffs}", flush=True)
     if args.profile:
-        from repro.obs import profile as profile_hooks
-
-        print(profile_hooks.format_report("replay profile"), flush=True)
-    if tracer is not None:
+        print(tracer.format_stages("replay profile"), flush=True)
+    if args.trace_dir is not None:
         # Greppable for the observability smoke: where the spans went.
         print(f"replay: trace_dir={args.trace_dir} "
               f"spans_recorded={tracer.spans_recorded}", flush=True)
@@ -1039,8 +1031,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "generated session ids")
     _add_trace_flags(p_serve)
     p_serve.add_argument("--profile", action="store_true",
-                         help="time engine hot-path stages and print a "
-                              "per-stage report at shutdown")
+                         help="total the server's spans per stage and "
+                              "print the table at shutdown")
     _add_param_flags(p_serve)
     p_serve.set_defaults(func=cmd_serve)
 
@@ -1092,8 +1084,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "(machine-readable; suppresses the tables)")
     _add_trace_flags(p_replay)
     p_replay.add_argument("--profile", action="store_true",
-                          help="time client-side stages and print a "
-                               "per-stage report after the replay")
+                          help="total the client's spans per stage and "
+                               "print the table after the replay")
     p_replay.set_defaults(func=cmd_replay)
 
     p_chaos = sub.add_parser(

@@ -1,28 +1,26 @@
-"""Observability: distributed tracing, metrics exposition, profiling.
+"""Observability: distributed tracing, metrics exposition, a live view.
 
 Three instruments over one serving stack, built to answer "where does a
 reference's 0.15 ms actually go?" without perturbing the answer:
 
 * :mod:`repro.obs.trace` — per-request spans with a trace id that rides
   protocol v3's additive ``trace`` field client -> gateway -> worker,
-  deterministic head-based sampling, bounded buffers, NDJSON sinks.
+  deterministic head-based sampling, bounded buffers, NDJSON sinks, and
+  per-stage totals over the spans.  ``--profile`` prints those totals
+  from a ring-only tracer that writes no file.
 * :mod:`repro.obs.prom` — a Prometheus-text-format renderer over
   ``ServiceMetrics`` state (bare server or fleet-merged), served from
   the STATS path and the ``repro metrics`` CLI.
-* :mod:`repro.obs.profile` — opt-in monotonic timers on the engine hot
-  path with a module-level no-op guard, surfaced by ``--profile``.
 * :mod:`repro.obs.top` — the ``repro top`` live terminal view over
   fleet STATS.
 
-Nothing in here is imported by the hot path unless switched on; the
-whole package costs one ``None`` check (tracing) or one module-attribute
-read (profiling) when idle.
+Nothing in here is imported by the hot path unless switched on; tracing
+costs one ``None`` check when idle.
 """
 
 from repro.obs.trace import Tracer, derive_trace_id, read_spans, trace_fraction
 from repro.obs.prom import render_exposition
 from repro.obs.top import render_top, run_top
-from repro.obs import profile
 
 __all__ = [
     "Tracer",
@@ -32,5 +30,4 @@ __all__ = [
     "render_exposition",
     "render_top",
     "run_top",
-    "profile",
 ]

@@ -21,6 +21,13 @@ Trace files are NDJSON — one JSON object per line, one file per
 component (``gateway.ndjson``, ``w0.ndjson``, ``client.ndjson``) — so a
 fleet's trace directory reassembles into per-request timelines with
 nothing fancier than :func:`read_spans` and a sort on ``(trace, seq)``.
+
+Every tracer also keeps per-stage totals (calls, total and max duration
+per span name), folded in where a span leaves the buffer — a flushed
+batch on the writer thread, a ring drop — and, for spans still
+buffered, at read time, so recording a span pays nothing for them.
+``--profile`` prints them (:meth:`Tracer.format_stages`), from a
+ring-only tracer when no trace directory is given.
 """
 
 from __future__ import annotations
@@ -29,9 +36,9 @@ import hashlib
 import json
 import threading
 import time
-from collections import Counter, deque
+from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional
 
 __all__ = ["Tracer", "derive_trace_id", "trace_fraction", "read_spans"]
 
@@ -64,6 +71,32 @@ def trace_fraction(seed: int, trace_id: str) -> float:
         f"{seed}:sample:{trace_id}".encode("utf-8"), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big") / 2.0 ** 64
+
+
+class _Stage:
+    """Running totals for one span name."""
+
+    __slots__ = ("calls", "total_s", "max_s")
+
+    def __init__(
+        self, calls: int = 0, total_s: float = 0.0, max_s: float = 0.0
+    ) -> None:
+        self.calls = calls
+        self.total_s = total_s
+        self.max_s = max_s
+
+
+def _fold(totals: Dict[str, _Stage], entries: Iterable[tuple]) -> None:
+    """Add buffered span tuples into per-span-name ``totals``."""
+    for entry in entries:
+        stage = totals.get(entry[1])
+        if stage is None:
+            stage = totals[entry[1]] = _Stage()
+        duration_s = entry[3]
+        stage.calls += 1
+        stage.total_s += duration_s
+        if duration_s > stage.max_s:
+            stage.max_s = duration_s
 
 
 class Tracer:
@@ -100,7 +133,10 @@ class Tracer:
         self._seq = 0
         self.spans_dropped = 0
         self.spans_flushed = 0
-        self._by_span: Counter = Counter()
+        # Totals of the spans that have left the buffer: dropped ones at
+        # once, a flushed batch when its write lands.  _stage_totals()
+        # adds the spans still buffered.
+        self._totals: Dict[str, _Stage] = {}
         # JSON encoding is the expensive part of a flush; cache one
         # encoder and do the work on a writer thread (chained via
         # ``_writer`` so batches land in seq order) to keep it off the
@@ -149,7 +185,7 @@ class Tracer:
                 if self.path is not None:
                     self._flush_locked()
                 else:
-                    self._buffer.popleft()
+                    _fold(self._totals, (self._buffer.popleft(),))
                     self.spans_dropped += 1
             self._buffer.append(
                 (trace_id, span, start_s, duration_s, fields, self._seq)
@@ -222,7 +258,7 @@ class Tracer:
         with self._lock:
             self.spans_flushed += len(batch)
             # Per-stage accounting happens here, off the hot path.
-            self._by_span.update(entry[1] for entry in batch)
+            _fold(self._totals, batch)
 
     def timed(self, trace_id: str, span: str, **fields: Any) -> "_SpanTimer":
         """``with tracer.timed(tid, "gateway.worker_rpc"): ...``"""
@@ -272,15 +308,21 @@ class Tracer:
             out.append(record)
         return out
 
+    def _stage_totals(self) -> Dict[str, _Stage]:
+        """Totals over every span recorded so far (lock held): the
+        flushed and dropped ones plus those still in the buffer."""
+        totals = {
+            name: _Stage(stage.calls, stage.total_s, stage.max_s)
+            for name, stage in self._totals.items()
+        }
+        _fold(totals, self._buffer)
+        return totals
+
     def summary(self) -> Dict[str, Any]:
         """Per-stage span counts plus buffer accounting — safe to ship
         in campaign ``results.json`` (never hash-covered)."""
         with self._lock:
-            # _by_span is maintained at flush time; spans still sitting
-            # in the buffer (or ring-buffered with no sink) are counted
-            # here so the summary never under-reports.
-            by_span = Counter(self._by_span)
-            by_span.update(entry[1] for entry in self._buffer)
+            totals = self._stage_totals()
             return {
                 "component": self.component,
                 "sample": self.sample,
@@ -288,8 +330,46 @@ class Tracer:
                 "spans_recorded": self.spans_recorded,
                 "spans_flushed": self.spans_flushed,
                 "spans_dropped": self.spans_dropped,
-                "by_span": dict(sorted(by_span.items())),
+                "by_span": {
+                    name: totals[name].calls for name in sorted(totals)
+                },
             }
+
+    def stages(self) -> Dict[str, Dict[str, float]]:
+        """Snapshot ``{span: {calls, total_s, avg_us, max_us}}``."""
+        with self._lock:
+            totals = self._stage_totals()
+        return {
+            name: {
+                "calls": stage.calls,
+                "total_s": round(stage.total_s, 6),
+                "avg_us": round(stage.total_s / stage.calls * 1e6, 3),
+                "max_us": round(stage.max_s * 1e6, 3),
+            }
+            for name, stage in totals.items()
+        }
+
+    def format_stages(self, title: str = "profile") -> str:
+        """:meth:`stages` as an aligned table, heaviest total first."""
+        stages = self.stages()
+        if not stages:
+            return f"{title}: no stages recorded"
+        order = sorted(
+            stages.items(), key=lambda item: item[1]["total_s"], reverse=True
+        )
+        width = max(len(name) for name in stages)
+        lines = [
+            f"{title}: per-stage breakdown",
+            f"  {'stage'.ljust(width)}  {'calls':>9}  {'total_s':>10}  "
+            f"{'avg_us':>10}  {'max_us':>10}",
+        ]
+        for name, row in order:
+            lines.append(
+                f"  {name.ljust(width)}  {row['calls']:>9}  "
+                f"{row['total_s']:>10.4f}  {row['avg_us']:>10.2f}  "
+                f"{row['max_us']:>10.2f}"
+            )
+        return "\n".join(lines)
 
 
 class _SpanTimer:

@@ -16,6 +16,7 @@ clients, the usual load-testing setup.
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -31,7 +32,6 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import Tracer
 
-from repro.obs import profile as _profile
 from repro.service import protocol
 from repro.service.client import (
     AsyncServiceClient,
@@ -172,96 +172,60 @@ async def _replay_one(
 
     async def _one_session(session_index: int) -> None:
         trace_id = _session_trace(session_index)
-        prof = _profile.ENABLED
-
-        def _observed(started: float, advice: Any) -> None:
-            elapsed = time.perf_counter() - started
-            result.samples.append(elapsed)
-            if trace_id is not None:
-                tracer.record(
-                    trace_id, "client.rpc", started, elapsed,
-                    client=client_index,
-                )
-            if prof:
-                _profile.add("client.observe", elapsed)
-            result.outcomes[advice.outcome] += 1
-            result.prefetches += len(advice.prefetch)
-
+        open_kwargs = dict(
+            policy=policy, cache_size=cache_size, params=params,
+            policy_kwargs=policy_kwargs, tenant=tenant, trace=trace_id,
+        )
         if retry is not None:
             # Resilient path: the client journals every reference and
             # transparently reconnects/resumes across injected faults, so
             # the advice stream is identical to the fault-free run.
-            async with ResilientAsyncClient(
-                host, port, retry=retry
-            ) as client:
-                t_open = time.perf_counter()
-                await client.open(
-                    policy=policy, cache_size=cache_size, params=params,
-                    policy_kwargs=policy_kwargs, tenant=tenant,
-                    trace=trace_id,
+            client = ResilientAsyncClient(host, port, retry=retry)
+        else:
+            client = await AsyncServiceClient.connect(host, port)
+        async with client:
+            t_open = time.perf_counter()
+            if retry is not None:
+                await client.open(**open_kwargs)
+                bound_trace = client.trace
+                observe = client.observe
+                close = client.close_session
+            else:
+                reply = await client.open_session(**open_kwargs)
+                bound_trace = reply.trace
+                observe = functools.partial(client.observe, reply.session)
+                close = functools.partial(client.close_session, reply.session)
+            open_dur = time.perf_counter() - t_open
+            if tracer is not None and trace_id is None:
+                # The gateway/worker head-sampled this session on its
+                # own; adopt its id so client spans join the trace.
+                trace_id = bound_trace
+            if trace_id is not None:
+                tracer.record(
+                    trace_id, "client.open", t_open, open_dur,
+                    client=client_index,
                 )
-                open_dur = time.perf_counter() - t_open
-                if (
-                    tracer is not None
-                    and trace_id is None
-                    and client.trace is not None
-                ):
-                    # The gateway/worker head-sampled this session on its
-                    # own; adopt its id so client spans join the trace.
-                    trace_id = client.trace
+            _event("open")
+            for block in blocks:
+                started = time.perf_counter()
+                advice = await observe(int(block) + offset)
+                elapsed = time.perf_counter() - started
+                result.samples.append(elapsed)
                 if trace_id is not None:
                     tracer.record(
-                        trace_id, "client.open", t_open, open_dur,
+                        trace_id, "client.rpc", started, elapsed,
                         client=client_index,
                     )
-                if prof:
-                    _profile.add("client.open", open_dur)
-                _event("open")
-                for block in blocks:
-                    started = time.perf_counter()
-                    advice = await client.observe(int(block) + offset)
-                    _observed(started, advice)
-                final = await client.close_session()
-                _event("close")
+                result.outcomes[advice.outcome] += 1
+                result.prefetches += len(advice.prefetch)
+            final = await close()
+            _event("close")
+            if retry is not None:
                 result.retries += client.retries
                 result.resumes += client.resumes
                 result.cold_restarts += client.cold_restarts
                 result.overload_backoffs += client.overload_backoffs
                 result.degraded = result.degraded or client.degraded
-        else:
-            async with await AsyncServiceClient.connect(
-                host, port
-            ) as client:
-                t_open = time.perf_counter()
-                reply = await client.open_session(
-                    policy=policy, cache_size=cache_size, params=params,
-                    policy_kwargs=policy_kwargs, tenant=tenant,
-                    trace=trace_id,
-                )
-                session = reply.session
-                open_dur = time.perf_counter() - t_open
-                if (
-                    tracer is not None
-                    and trace_id is None
-                    and reply.trace is not None
-                ):
-                    trace_id = reply.trace
-                if trace_id is not None:
-                    tracer.record(
-                        trace_id, "client.open", t_open, open_dur,
-                        client=client_index,
-                    )
-                if prof:
-                    _profile.add("client.open", open_dur)
-                _event("open")
-                for block in blocks:
-                    started = time.perf_counter()
-                    advice = await client.observe(
-                        session, int(block) + offset
-                    )
-                    _observed(started, advice)
-                final = await client.close_session(session)
-                _event("close")
         result.sessions += 1
         result.miss_rate = float(final.get("miss_rate", 0.0))
 

@@ -23,7 +23,6 @@ unconditional one-block lookahead).
 from __future__ import annotations
 
 import enum
-from time import perf_counter
 from typing import (
     Hashable,
     Iterable,
@@ -41,7 +40,6 @@ from repro.core import costbenefit
 from repro.core.estimators import PrefetchRateEstimator
 from repro.params import SystemParams
 from repro.sim.clock import SimClock
-from repro.obs import profile as _profile
 from repro.sim.disk import DiskModel, QueuedDiskModel
 from repro.sim.stats import SimulationStats
 
@@ -233,11 +231,6 @@ class Simulator:
         advisory service) can feed references one at a time and stream the
         returned :class:`StepResult` back to its client.
         """
-        # Read the profiling guard once per step: disabled cost is this
-        # one attribute load; the timers never feed back into decisions.
-        prof = _profile.ENABLED
-        t_step = perf_counter() if prof else 0.0
-
         self.period += 1
         stats = self.stats
         params = self.params
@@ -245,16 +238,7 @@ class Simulator:
         stall = 0.0
 
         location = self.cache.location_of(block)
-        if prof:
-            t0 = perf_counter()
-            self.policy.observe(
-                block, self.period, location, self.cache, stats
-            )
-            _profile.add("engine.tree_walk", perf_counter() - t0)
-        else:
-            self.policy.observe(
-                block, self.period, location, self.cache, stats
-            )
+        self.policy.observe(block, self.period, location, self.cache, stats)
 
         result = self.cache.reference(block, self.period)
         if result.location is Location.DEMAND:
@@ -278,24 +262,16 @@ class Simulator:
 
         self._step_decisions = []
         ctx = PrefetchContext(self)
-        if prof:
-            t0 = perf_counter()
-            self.policy.prefetch_round(ctx)
-            _profile.add("engine.candidate_selection", perf_counter() - t0)
-        else:
-            self.policy.prefetch_round(ctx)
+        self.policy.prefetch_round(ctx)
         self._s_estimator.end_period(ctx.issued)
         self.clock.charge_compute(params.t_cpu)
-        step_result = StepResult(
+        return StepResult(
             block=block,
             period=self.period,
             location=result.location,
             stall_ms=stall,
             decisions=tuple(self._step_decisions),
         )
-        if prof:
-            _profile.add("engine.step", perf_counter() - t_step)
-        return step_result
 
     def finalize(self) -> SimulationStats:
         """Seal and validate the statistics after the last access."""

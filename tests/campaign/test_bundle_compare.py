@@ -152,6 +152,26 @@ class TestCompare:
         assert "REPRODUCED" in text
         assert "requests" in text
 
+    def test_baseline_without_prefetches_warns(self, tmp_path):
+        quiet = {"prefetches_recommended": 0}
+        comparison = compare_bundles(write(tmp_path, "a", results=quiet),
+                                     write(tmp_path, "b", results=quiet))
+        text = render_comparison(comparison)
+        assert "warning:   baseline hashes no prefetch decision" in text
+        # the warning is advisory: verdict and gate are unchanged
+        assert "REPRODUCED" in text
+        assert comparison.passed()
+        # a volatile phase hashes no advice either, whatever it recorded
+        volatile = {"quota_tolerant": True, "prefetches_recommended": 9}
+        comparison = compare_bundles(write(tmp_path, "c", results=volatile),
+                                     write(tmp_path, "d", results=volatile))
+        assert "no prefetch decision" in render_comparison(comparison)
+
+    def test_baseline_with_prefetches_does_not_warn(self, tmp_path):
+        comparison = compare_bundles(write(tmp_path, "a"),
+                                     write(tmp_path, "b"))
+        assert "warning:" not in render_comparison(comparison)
+
     def test_deterministic_mismatch_is_regression(self, tmp_path):
         comparison = compare_bundles(
             write(tmp_path, "a"),

@@ -7,6 +7,8 @@ flushed / dropped) must add up no matter how the buffer cycled.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -103,6 +105,100 @@ class TestRingMode:
         assert summary["by_span"] == {"a.b": 3}
         assert summary["spans_recorded"] == 3
         assert summary["spans_flushed"] == 0
+
+    def test_totals_count_dropped_spans(self):
+        tracer = Tracer("ring", capacity=4)
+        for i in range(10):
+            tracer.record("tid", "a.b", 0.0, 0.001 * (i + 1))
+        assert tracer.spans_dropped == 6
+        stage = tracer.stages()["a.b"]
+        assert stage["calls"] == 10
+        assert abs(stage["max_us"] - 10000.0) < 0.01
+        assert abs(stage["total_s"] - 0.055) < 1e-9
+        by_span = tracer.summary()["by_span"]
+        assert sum(by_span.values()) == tracer.spans_recorded == 10
+
+
+class TestStageMath:
+    """Per-span-name calls / total / max — what ``--profile`` prints."""
+
+    def test_record_accumulates(self):
+        tracer = Tracer("t")
+        for duration in (0.002, 0.004, 0.003):
+            tracer.record("tid", "x.y", 0.0, duration)
+        stage = tracer.stages()["x.y"]
+        assert stage["calls"] == 3
+        assert abs(stage["total_s"] - 0.009) < 1e-9
+        assert abs(stage["avg_us"] - 3000.0) < 0.01
+        assert abs(stage["max_us"] - 4000.0) < 0.01
+
+    def test_stages_is_a_snapshot(self):
+        tracer = Tracer("t")
+        tracer.record("tid", "x.y", 0.0, 0.001)
+        snapshot = tracer.stages()
+        tracer.record("tid", "x.y", 0.0, 0.001)
+        assert snapshot["x.y"]["calls"] == 1
+        assert tracer.stages()["x.y"]["calls"] == 2
+
+    def test_totals_span_flushed_and_buffered(self, tmp_path):
+        tracer = Tracer("w0", trace_dir=str(tmp_path), capacity=8)
+        for _ in range(20):  # two background flushes on the way
+            tracer.record("tid", "a.b", 0.0, 0.001)
+        tracer.flush()
+        for _ in range(3):  # still buffered
+            tracer.record("tid", "a.b", 0.0, 0.001)
+        assert tracer.stages()["a.b"]["calls"] == 23
+        assert tracer.summary()["by_span"] == {"a.b": 23}
+        tracer.close()
+        assert tracer.stages()["a.b"]["calls"] == 23
+
+    @pytest.mark.parametrize("sink", ["ring", "dir"])
+    def test_concurrent_recorders_lose_no_count(self, tmp_path, sink):
+        """Recorders race each other and the writer threads (or the
+        ring's drop) for the totals; every span must still count."""
+        tracer = Tracer(
+            "w0", capacity=16,
+            trace_dir=str(tmp_path) if sink == "dir" else None,
+        )
+        per_thread = 2000
+
+        def _record():
+            for _ in range(per_thread):
+                tracer.record("tid", "a.b", 0.0, 0.001)
+
+        threads = [threading.Thread(target=_record) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        tracer.close()
+        total = per_thread * len(threads)
+        assert tracer.stages()["a.b"]["calls"] == total
+        assert tracer.summary()["by_span"] == {"a.b": total}
+
+
+class TestFormatReport:
+    def test_empty_report_says_so(self):
+        assert "no stages recorded" in Tracer("t").format_stages()
+
+    def test_table_orders_by_total_and_includes_stages(self):
+        tracer = Tracer("t")
+        tracer.record("tid", "worker.open", 0.0, 0.1)
+        tracer.record("tid", "worker.predictor_step", 0.0, 0.5)
+        lines = tracer.format_stages("serve profile").split("\n")
+        assert lines[0] == "serve profile: per-stage breakdown"
+        assert lines[1].split() == [
+            "stage", "calls", "total_s", "avg_us", "max_us"
+        ]
+        assert [line.split()[0] for line in lines[2:]] == [
+            "worker.predictor_step", "worker.open"
+        ]
 
 
 class TestFlush:

@@ -12,11 +12,13 @@ import os
 import pytest
 
 from repro.cluster import AdvisoryGateway, StaticWorkerDirectory
+from repro.obs.trace import Tracer
 from repro.service import protocol
 from repro.service.client import (
     AsyncServiceClient, ServiceClient, ServiceError,
 )
 from repro.service.server import BackgroundServer, PrefetchService
+from repro.traces.synthetic import make_trace
 
 REQUIRED_FAMILIES = (
     "advice_latency",
@@ -43,6 +45,30 @@ class TestIdentitySatellites:
                 time.sleep(0.05)
                 second = client.server_stats()["uptime_s"]
         assert second > first
+
+
+class TestProfiledService:
+    """``serve --profile`` is a ring-only tracer on the service: it times
+    the same stages and must not change a single piece of advice."""
+
+    @staticmethod
+    def _advice(service, blocks):
+        with BackgroundServer(service=service) as server:
+            with ServiceClient.connect(port=server.port) as client:
+                sid = client.open(policy="tree", cache_size=64)
+                advice = [client.observe(sid, b).as_dict() for b in blocks]
+                client.close_session(sid)
+        return advice
+
+    def test_ring_tracer_does_not_perturb_advice(self):
+        blocks = make_trace("cad", num_references=300, seed=1).as_list()
+        tracer = Tracer("worker")
+        profiled = self._advice(PrefetchService(tracer=tracer), blocks)
+        assert profiled == self._advice(PrefetchService(), blocks)
+        stages = tracer.stages()
+        assert stages["worker.open"]["calls"] == 1
+        assert stages["worker.predictor_step"]["calls"] == len(blocks)
+        assert tracer.path is None  # nothing was written
 
 
 class TestPrometheusStats:

@@ -174,6 +174,31 @@ class TestServiceCommands:
         assert "latency_p99_ms" in out
         assert "requests               : 3200" in out
 
+    def test_replay_profile_totals_client_spans(self, capsys):
+        from repro.service.server import BackgroundServer
+
+        with BackgroundServer() as server:
+            rc = main(["replay", "--trace", "cad", "--refs", "150",
+                       "--clients", "2", "--sessions-per-client", "2",
+                       "--cache", "64", "--port", str(server.port),
+                       "--profile"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        head = lines.index("replay profile: per-stage breakdown")
+        assert lines[head + 1].split() == [
+            "stage", "calls", "total_s", "avg_us", "max_us"
+        ]
+        calls = {}
+        for line in lines[head + 2:]:
+            cells = line.split()
+            if len(cells) != 5:
+                break
+            calls[cells[0]] = int(cells[1])
+        assert calls == {"client.open": 4, "client.rpc": 4 * 150}
+        # a ring-only tracer: nothing was written, so no trace_dir line
+        assert "replay: trace_dir=" not in out
+
     def test_replay_without_server_is_clean_error(self, capsys):
         # An unused ephemeral port: bind-then-close guarantees nothing listens.
         import socket
