@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.cluster.worker import WorkerDirectory
 from repro.service import protocol
-from repro.service.lineserver import LineServer, Send
+from repro.service.lineserver import LineServer, Send, bounded_drain
 from repro.service.metrics import _COUNTER_FIELDS, ServiceMetrics
 from repro.service.overload import (
     AdmissionGuard,
@@ -128,15 +128,18 @@ class GatewayStats:
 class _Conn:
     """One live upstream socket with its FIFO of reply futures."""
 
-    __slots__ = ("reader", "writer", "pending", "task")
+    __slots__ = ("reader", "writer", "pending", "task", "timer")
 
     def __init__(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.reader = reader
         self.writer = writer
-        self.pending: Deque[asyncio.Future] = deque()
+        #: ``(deadline, reply future)`` per request in flight, wire order.
+        self.pending: Deque[Tuple[float, asyncio.Future]] = deque()
         self.task: Optional[asyncio.Task] = None
+        #: The one reply timer, armed while requests are in flight.
+        self.timer: Optional[asyncio.TimerHandle] = None
 
 
 class _WorkerLink:
@@ -149,6 +152,11 @@ class _WorkerLink:
     trusted to line up, so the *connection is torn down* — never skipped
     past — and every in-flight request fails with ``ConnectionError``,
     which the gateway turns into failover.
+
+    Each request's reply is due ``timeout_s`` after it is queued.  The
+    deadlines ride the pending FIFO, so the oldest is always at its head,
+    and one timer per connection enforces them (:meth:`_expire`): a
+    request arms no timer of its own.
     """
 
     def __init__(
@@ -193,7 +201,7 @@ class _WorkerLink:
                     break
                 if not conn.pending:
                     break  # unsolicited reply: FIFO broken, bail out
-                future = conn.pending.popleft()
+                _, future = conn.pending.popleft()
                 if not future.done():
                     future.set_result(line)
         except (OSError, asyncio.LimitOverrunError, ValueError):
@@ -208,8 +216,11 @@ class _WorkerLink:
             return
         if self._conn is conn:
             self._conn = None
+        if conn.timer is not None:
+            conn.timer.cancel()
+            conn.timer = None
         while conn.pending:
-            future = conn.pending.popleft()
+            _, future = conn.pending.popleft()
             if not future.done():
                 future.set_exception(ConnectionError(
                     f"worker {self.worker_id} connection lost"
@@ -219,6 +230,29 @@ class _WorkerLink:
         transport = conn.writer.transport
         if transport is not None:
             transport.abort()
+
+    def _expire(self, conn: _Conn) -> None:
+        """The reply timer fired: re-arm it at the oldest deadline, or,
+        if the oldest request is overdue, tear the connection down.
+
+        A late reply would be matched to the wrong request; the only safe
+        recovery is a fresh connection.  An idle connection keeps no
+        timer: the next request arms one.
+        """
+        conn.timer = None
+        if not conn.pending:
+            return
+        loop = asyncio.get_running_loop()
+        deadline, future = conn.pending[0]
+        if loop.time() < deadline:
+            conn.timer = loop.call_at(deadline, self._expire, conn)
+            return
+        conn.pending.popleft()
+        if not future.done():
+            future.set_exception(ConnectionError(
+                f"worker {self.worker_id} timed out"
+            ))
+        self._teardown(conn)
 
     def invalidate(self) -> None:
         """Drop the cached connection (worker restarted or went down)."""
@@ -233,27 +267,21 @@ class _WorkerLink:
             conn = self._conn
             if conn is None:
                 conn = self._conn = await self._connect()
-            future = asyncio.get_running_loop().create_future()
-            conn.pending.append(future)
+            loop = asyncio.get_running_loop()
+            future = loop.create_future()
+            deadline = loop.time() + self._timeout_s
+            conn.pending.append((deadline, future))
+            if conn.timer is None:
+                conn.timer = loop.call_at(deadline, self._expire, conn)
             try:
                 conn.writer.write(line)
-                await asyncio.wait_for(
-                    conn.writer.drain(), self._timeout_s
-                )
+                await bounded_drain(conn.writer, self._timeout_s)
             except (OSError, asyncio.TimeoutError, TimeoutError):
                 self._teardown(conn)
                 raise ConnectionError(
                     f"worker {self.worker_id} write failed"
                 ) from None
-        try:
-            return await asyncio.wait_for(future, self._timeout_s)
-        except (asyncio.TimeoutError, TimeoutError):
-            # A late reply would be matched to the wrong request; the
-            # only safe recovery is a fresh connection.
-            self._teardown(conn)
-            raise ConnectionError(
-                f"worker {self.worker_id} timed out"
-            ) from None
+        return await future
 
     async def aclose(self) -> None:
         self.invalidate()

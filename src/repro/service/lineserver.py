@@ -6,15 +6,24 @@ that does not depend on what a request means lives here, once:
 
 * the listener and its port;
 * the HELLO line sent as a connection opens;
-* reads bounded by the idle timeout (a silent client is dropped and
-  counted in ``timeouts``);
-* an over-long line: one ``E_BAD_REQUEST`` error line, then disconnect;
+* reads bounded by the idle timeout: a read that waits that long ends
+  the connection, counted in ``timeouts``;
+* an over-long line: one ``E_BAD_REQUEST`` error line, then a half-close;
+  the rest of the client's input is read away until it closes its side
+  (or the idle deadline passes), so the close is clean, not a reset;
 * one error line per undecodable request, the connection kept;
 * shedding brand-new OPENs with ``E_OVERLOAD`` and ``retry_after_s``;
 * the in-flight bracket the admission watermark measures, and a drain
-  bounded by the drain timeout after every reply;
+  after every reply, bounded by the drain timeout (a stalled reply drops
+  the connection, counted in ``timeouts``);
 * per-connection teardown, and :meth:`LineServer.aclose`, which stops
   accepting, then cancels and awaits every live connection.
+
+Neither bound costs a timer per request.  The idle deadline is one timer
+per connection that checks when the current read started
+(:class:`_IdleDeadline`), and a drain can only block when the socket left
+bytes unsent, so the drain bound is armed only then (:func:`bounded_drain`,
+which the gateway's worker links use too).
 
 What a request *means* belongs to the handler.  ``respond(request,
 owned, send)`` answers one decoded, admitted request by awaiting
@@ -43,6 +52,78 @@ from repro.service.protocol import (
 #: Writes one reply line and waits (boundedly) for it to drain.
 Send = Callable[[bytes], Awaitable[None]]
 Respond = Callable[[Request, Set[str], Send], Awaitable[None]]
+
+
+async def bounded_drain(
+    writer: asyncio.StreamWriter, timeout_s: Optional[float]
+) -> None:
+    """``writer.drain()``, raising ``asyncio.TimeoutError`` past
+    ``timeout_s``.
+
+    Only a transport holding unsent bytes can pause the writer, so only
+    then can a peer that stops reading block the drain, and only then is
+    the bound worth a timer (and, before Python 3.12, a task).
+    """
+    if writer.transport.get_write_buffer_size():
+        await asyncio.wait_for(writer.drain(), timeout_s)
+    else:
+        await writer.drain()
+
+
+class _IdleDeadline:
+    """Ends a connection whose read has waited ``timeout_s`` (``None``:
+    never).
+
+    A read sets ``reading_since`` as it starts and clears it when it
+    returns, so a request costs two attribute writes and no timer.  The
+    one timer is armed when the deadline is made and re-armed only when
+    it fires: at the waiting read's deadline, or a full timeout ahead
+    when no read waits.  An expired read sees EOF, because the timer
+    closes the transport, and ``expired`` says why.
+    """
+
+    __slots__ = (
+        "reading_since", "expired", "_loop", "_timeout_s", "_transport",
+        "_timer",
+    )
+
+    def __init__(
+        self,
+        loop: asyncio.AbstractEventLoop,
+        timeout_s: Optional[float],
+        transport: asyncio.BaseTransport,
+    ) -> None:
+        self.reading_since: Optional[float] = None
+        self.expired = False
+        self._loop = loop
+        self._timeout_s = timeout_s
+        self._transport = transport
+        self._timer: Optional[asyncio.TimerHandle] = None
+        if timeout_s is not None:
+            self._timer = loop.call_at(loop.time() + timeout_s, self._fire)
+
+    def _fire(self) -> None:
+        now = self._loop.time()
+        since = self.reading_since
+        if since is None or now - since < self._timeout_s:
+            start = now if since is None else since
+            self._timer = self._loop.call_at(
+                start + self._timeout_s, self._fire
+            )
+            return
+        self._timer = None
+        self.expired = True
+        # close() would first flush replies the client left unread, and
+        # the read would wait for that as long as the client does.
+        if self._transport.get_write_buffer_size():
+            self._transport.abort()
+        else:
+            self._transport.close()
+
+    def cancel(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
 
 class LineServer:
@@ -97,11 +178,11 @@ class LineServer:
     async def aclose(self) -> None:
         """Stop accepting, then cancel every live connection and await
         its teardown, so no handler outlives the event loop."""
-        # A cancel can be lost: before Python 3.12, asyncio.wait_for
-        # swallows one that lands just as its inner await completes.  The
-        # flag then ends that connection before its next read.  A
-        # connection whose accept was already under way joins the set
-        # late, hence the loop.
+        # The flag ends a connection before its next read even when its
+        # cancel is lost: before Python 3.12, asyncio.wait_for (a bounded
+        # drain, a handler's own timeouts) swallows a cancel that lands
+        # just as its inner await completes.  A connection whose accept
+        # was already under way joins the set late, hence the loop.
         self._closing = True
         self.close()
         while self._connections:
@@ -150,25 +231,38 @@ class LineServer:
         counters = self._counters
         counters.connections_opened += 1
         owned: Set[str] = set()
+        loop = asyncio.get_running_loop()
+        transport = writer.transport
+        deadline: Optional[_IdleDeadline] = None
 
         async def send(line: bytes) -> None:
             # A reader that stops consuming must not wedge this handler.
             writer.write(line)
-            await asyncio.wait_for(writer.drain(), self._drain_timeout_s)
+            await bounded_drain(writer, self._drain_timeout_s)
 
         try:
             await send(self._hello)
+            deadline = _IdleDeadline(loop, self._idle_timeout_s, transport)
             while not self._closing:
+                deadline.reading_since = loop.time()
                 try:
-                    line = await asyncio.wait_for(
-                        reader.readline(), self._idle_timeout_s
-                    )
+                    line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
                     await send(protocol.encode_reply(ErrorReply(
                         0, protocol.E_BAD_REQUEST, "request line too long",
                     )))
                     counters.errors += 1
+                    # Framing is lost, but closing with the rest of the
+                    # line unread makes the kernel reset the connection,
+                    # which can destroy the error line before the client
+                    # reads it.  Half-close, and read the input away
+                    # until the client closes (or the deadline passes).
+                    writer.write_eof()
+                    deadline.reading_since = loop.time()
+                    while await reader.read(1 << 16):
+                        pass
                     break
+                deadline.reading_since = None
                 if not line:
                     break
                 stripped = line.strip()
@@ -196,9 +290,15 @@ class LineServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         except (asyncio.TimeoutError, TimeoutError):
-            # An idle read or a bounded drain ran out.
+            # A reply did not drain in time: drop the connection rather
+            # than wait for the client to take what it left unread.
             counters.timeouts += 1
+            transport.abort()
         finally:
+            if deadline is not None:
+                deadline.cancel()
+                if deadline.expired:
+                    counters.timeouts += 1
             self._detach(owned)
             counters.connections_closed += 1
             try:

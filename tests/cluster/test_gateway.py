@@ -411,6 +411,57 @@ class TestFleetStats:
         assert "metrics_state" in stats
 
 
+class TestServingPathCost:
+    def test_requests_arm_no_timer_and_start_no_task(self):
+        """The idle, drain and worker-reply bounds cost nothing per
+        request: with a worker and a gateway on one event loop, 200
+        OBSERVEs through the gateway arm no timer and start no task
+        each (counted, not timed)."""
+        blocks = _blocks(200)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            counts = {"call_at": 0, "create_task": 0}
+
+            def counting(name):
+                real = getattr(loop, name)
+
+                def wrapper(*args, **kwargs):
+                    counts[name] += 1
+                    return real(*args, **kwargs)
+
+                setattr(loop, name, wrapper)
+
+            worker = PrefetchService(identity="w0")
+            await worker.endpoint.start("127.0.0.1", 0)
+            directory = StaticWorkerDirectory()
+            directory.register("w0", "127.0.0.1", worker.endpoint.port)
+            gateway = AdvisoryGateway(directory)
+            await gateway.endpoint.start(port=0)
+            try:
+                async with await AsyncServiceClient.connect(
+                    port=gateway.endpoint.port
+                ) as client:
+                    session = await client.open(
+                        policy="tree", cache_size=CACHE
+                    )
+                    counting("call_at")  # call_later arms through it
+                    counting("create_task")  # so does ensure_future
+                    try:
+                        for block in blocks:
+                            await client.observe(session, block)
+                    finally:
+                        del loop.call_at, loop.create_task
+            finally:
+                await gateway.aclose()
+                await worker.aclose()
+            return counts
+
+        counts = asyncio.run(scenario())
+        assert counts["call_at"] <= 10, counts
+        assert counts["create_task"] <= 10, counts
+
+
 class TestJournalCompaction:
     def test_journal_is_bounded_by_durable_checkpoints(self, tmp_path):
         """Once a checkpoint has proven a prefix durable, the gateway

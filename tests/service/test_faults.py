@@ -8,6 +8,7 @@ checkable, so every test here checks it.
 """
 
 import asyncio
+import contextlib
 import os
 import signal
 import socket
@@ -63,6 +64,39 @@ async def _with_server(coro, **service_kwargs):
         return await coro(service, service.endpoint.port)
     finally:
         await service.aclose()
+
+
+@contextlib.asynccontextmanager
+async def _front(flavor, *, idle_timeout_s=300.0, request_timeout_s=60.0):
+    """A client-facing endpoint with the given bounds: a bare worker, or
+    a gateway (those bounds) fronting a worker (default bounds).
+
+    Yields ``(port, counters)``; ``counters`` is the front's live metrics
+    object, final once the block exits and every connection is torn down.
+    """
+    limits = ServiceLimits(
+        idle_timeout_s=idle_timeout_s, request_timeout_s=request_timeout_s,
+    )
+    worker = front = PrefetchService(
+        limits=limits if flavor == "bare" else ServiceLimits()
+    )
+    await worker.endpoint.start("127.0.0.1", 0)
+    if flavor == "gateway":
+        directory = StaticWorkerDirectory()
+        directory.register("w0", "127.0.0.1", worker.endpoint.port)
+        front = AdvisoryGateway(
+            directory, idle_timeout_s=idle_timeout_s,
+            request_timeout_s=request_timeout_s,
+        )
+        await front.endpoint.start(port=0)
+    try:
+        yield front.endpoint.port, (
+            front.stats if flavor == "gateway" else front.metrics
+        )
+    finally:
+        if flavor == "gateway":
+            await front.aclose()
+        await worker.aclose()
 
 
 class TestFaultPlan:
@@ -391,6 +425,128 @@ class TestTimeouts:
             assert counters["live_sessions"] == 0  # reaped, not leaked
         else:
             assert counters["sessions_orphaned"] == 1  # kept resumable
+
+    @pytest.mark.parametrize("flavor", ["bare", "gateway"])
+    def test_idle_deadline_counts_from_the_last_read(self, flavor):
+        """Steady traffic outlives the idle timeout many times over; the
+        deadline runs only while a read waits."""
+
+        async def scenario():
+            async with _front(flavor, idle_timeout_s=0.3) as (port, counters):
+                client = await AsyncServiceClient.connect("127.0.0.1", port)
+                session = await client.open(
+                    policy="no-prefetch", cache_size=CACHE
+                )
+                loop = asyncio.get_running_loop()
+                busy_until = loop.time() + 1.2
+                sent = 0
+                while loop.time() < busy_until:
+                    await client.observe(session, sent)
+                    sent += 1
+                    await asyncio.sleep(0.1)
+                busy_timeouts = counters.timeouts
+                # now go silent: the front must hang up on its own
+                eof = await asyncio.wait_for(client._reader.readline(), 5.0)
+                await client.aclose()
+            return sent, busy_timeouts, eof, counters.as_dict()
+
+        sent, busy_timeouts, eof, counters = asyncio.run(scenario())
+        assert sent >= 10
+        assert busy_timeouts == 0
+        assert eof == b""
+        assert counters["timeouts"] == 1
+        if flavor == "bare":
+            assert counters["live_sessions"] == 0
+        else:
+            assert counters["sessions_orphaned"] == 1
+
+    @pytest.mark.parametrize("flavor", ["bare", "gateway"])
+    def test_unread_replies_hit_the_drain_bound(self, flavor):
+        """A client that pipelines requests and never reads is dropped
+        once a reply cannot drain within the drain bound."""
+
+        async def scenario():
+            async with _front(
+                flavor, request_timeout_s=0.5
+            ) as (port, counters):
+                loop = asyncio.get_running_loop()
+                sock = socket.socket()
+                # A small receive window, and a stream that stops reading
+                # once 2 KiB are buffered, back replies up into the
+                # front's transport, past its 64 KiB high-water mark.
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.setblocking(False)
+                await loop.sock_connect(sock, ("127.0.0.1", port))
+                reader, writer = await asyncio.open_connection(
+                    sock=sock, limit=1024
+                )
+                try:
+                    await asyncio.wait_for(reader.readline(), 5.0)  # HELLO
+                    # 4-5 KB replies: ~10 MB the client never reads, more
+                    # than the front's socket buffers can take (<= 4 MB
+                    # send buffer under Linux's default tcp_wmem).
+                    stats = protocol.encode_request(protocol.StatsRequest(
+                        id=1, session=None, format="prometheus",
+                    ))
+                    writer.write(stats * 2000)
+                    give_up = loop.time() + 30.0
+                    while counters.timeouts == 0 and loop.time() < give_up:
+                        await asyncio.sleep(0.05)
+                finally:
+                    writer.transport.abort()
+            return counters.as_dict()
+
+        counters = asyncio.run(scenario())
+        assert counters["timeouts"] == 1
+        assert counters["connections_closed"] == 1
+
+    def test_overdue_worker_reply_fails_over(self):
+        """A worker reply later than the gateway's request timeout tears
+        the link down, and the session fails over to the other worker;
+        the client just gets its answer."""
+
+        async def scenario():
+            workers = [PrefetchService(identity=f"w{i}") for i in range(2)]
+            directory = StaticWorkerDirectory()
+            for i, worker in enumerate(workers):
+                await worker.endpoint.start("127.0.0.1", 0)
+                directory.register(f"w{i}", "127.0.0.1", worker.endpoint.port)
+            gateway = AdvisoryGateway(directory, request_timeout_s=0.5)
+            owner = gateway.ring.owner("g1")
+            # Lines from the owner: HELLO, the OPEN reply, then the first
+            # OBSERVE reply, which is held back far past the deadline.
+            proxy = ChaosProxy(
+                port=directory.endpoints()[owner][1],
+                plan=FaultPlan(delay_every=3, delay_s=5.0),
+            )
+            await proxy.start()
+            directory.register(owner, "127.0.0.1", proxy.port)
+            await gateway.endpoint.start(port=0)
+            try:
+                async with await AsyncServiceClient.connect(
+                    port=gateway.endpoint.port
+                ) as client:
+                    session = await client.open(
+                        policy="tree", cache_size=CACHE
+                    )
+                    advice = await asyncio.wait_for(
+                        client.observe(session, 42), 4.0
+                    )
+            finally:
+                await gateway.aclose()
+                await proxy.aclose()
+                for worker in workers:
+                    await worker.aclose()
+            return session, advice, gateway.stats, proxy.stats
+
+        session, advice, stats, proxy_stats = asyncio.run(scenario())
+        assert session == "g1"
+        assert proxy_stats.delays_injected == 1
+        want = PrefetchSession(policy="tree", cache_size=CACHE).observe(42)
+        assert advice.as_dict() == want.as_dict()
+        # nothing was folded yet, so the reopen on the successor is clean
+        assert stats.failovers_resumed == 1
+        assert stats.sessions_lost == 0
 
     def test_sync_client_surfaces_read_timeout(self):
         """A listener that accepts but never speaks must raise a clean
