@@ -624,6 +624,7 @@ def cmd_fleet(args) -> int:
     import asyncio
 
     from repro.cluster.fleet import serve_fleet
+    from repro.store.codec import SnapshotError
 
     _check_serving_flags(args)
     try:
@@ -647,6 +648,8 @@ def cmd_fleet(args) -> int:
         ))
     except KeyboardInterrupt:
         pass  # serve_fleet's finally already printed the summary
+    except SnapshotError as exc:  # --model names nothing in --store
+        raise CLIError(str(exc)) from None
     return 0
 
 

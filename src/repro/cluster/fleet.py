@@ -14,11 +14,13 @@ Two entry points share the same wiring:
   line::
 
     fleet: workers=3 workers_restarted=1 sessions_opened=12 \
-sessions_closed=12 failovers_resumed=4 failovers_degraded=0 \
+sessions_closed=12 failovers_resumed=4 failovers_rebuilt=0 \
 sessions_lost=0 sessions_evicted=7 tenants_rejected=0
 
 CI's smoke job greps that line for ``sessions_lost=0`` and
-``workers_restarted=1`` after SIGKILLing a worker mid-replay; the
+``workers_restarted=1`` after SIGKILLing a worker mid-replay, and for
+``failovers_rebuilt`` >= 1 when the fleet has no checkpoint directory
+(the gateway rebuilt the sessions exactly from its journal); the
 tenancy smoke greps ``tenants_rejected`` and ``sessions_evicted``
 (fleet-wide totals: worker evictions plus gateway + worker quota
 rejections).
@@ -92,7 +94,7 @@ class Fleet:
             f"sessions_opened={stats.sessions_opened} "
             f"sessions_closed={stats.sessions_closed} "
             f"failovers_resumed={stats.failovers_resumed} "
-            f"failovers_degraded={stats.failovers_degraded} "
+            f"failovers_rebuilt={stats.failovers_rebuilt} "
             f"sessions_lost={stats.sessions_lost} "
             f"sessions_evicted={self.sessions_evicted} "
             f"tenants_rejected={rejected} "
@@ -156,6 +158,13 @@ async def start_fleet(
     ``<trace_dir>/<component>.ndjson`` — workers included, via their
     serve argv.
     """
+    if model is not None and store is not None:
+        # A bare name always means the latest version.  Pin it once, so
+        # every worker serves one version and a failover may rebuild.
+        from repro.store import ModelStore
+
+        name, version, _ = ModelStore(store).resolve(model)
+        model = f"{name}@{version}"
     quotas = None
     if tenant_config is not None:
         # Parse once up front: the gateway admits against the same config

@@ -16,17 +16,20 @@ exists.  Per request the gateway:
 * journals every acknowledged OBSERVE per session.
 
 The journal is what buys transparent failover for *plain* clients, not
-just :class:`~repro.service.client.ResilientAsyncClient`: when a worker
-dies, each of its sessions is re-opened on the ring successor with
-``OPEN resume=<id>`` against the shared checkpoint directory, the
-journal tail past the checkpoint is replayed with ``seq`` tags (the
+just :class:`~repro.service.client.ResilientAsyncClient`, and both run
+the same routine (:func:`~repro.service.client.recover_session`): when
+a worker dies, each of its sessions is re-opened on the ring successor
+with ``OPEN resume=<id>`` against the shared checkpoint directory, and
+the journal tail past the checkpoint is replayed with ``seq`` tags (the
 worker's duplicate detection absorbs an observation that was folded
-right before the crash), and only if no checkpoint exists does the
-session degrade to a fresh no-prefetch session rebuilt from the full
-journal.  A session is *lost* — surfaced as an error on its next use —
-only when even that is impossible.  Journals grow with session length
+right before the crash).  When nothing can be resumed and the journal
+starts at seq 0, the original OPEN is re-sent and the whole journal
+replayed — an exact rebuild, allowed only when every model name the
+OPEN resolves through is pinned as ``NAME@VERSION``.  Otherwise the
+session is *lost*, surfaced as an error on its next use; it is never
+served from another model version.  Journals grow with session length
 (one int per observation); bounded-memory operation comes from clients
-closing sessions, same as the worker's own session table.
+closing sessions and from compaction against durable checkpoints.
 
 Client connections run on the same connection core as a worker
 (:class:`~repro.service.lineserver.LineServer`, the gateway's
@@ -38,6 +41,7 @@ cross-connection access and failover.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import os
 import time
@@ -52,6 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.cluster.worker import WorkerDirectory
 from repro.service import protocol
+from repro.service.client import ResumeParityError, recover_session
 from repro.service.lineserver import LineServer, Send, bounded_drain
 from repro.service.metrics import _COUNTER_FIELDS, ServiceMetrics
 from repro.service.overload import (
@@ -93,7 +98,7 @@ class GatewayStats:
     sessions_closed: int = 0
     sessions_orphaned: int = 0
     failovers_resumed: int = 0
-    failovers_degraded: int = 0
+    failovers_rebuilt: int = 0
     sessions_lost: int = 0
     tenants_rejected: int = 0
     errors: int = 0
@@ -113,7 +118,7 @@ class GatewayStats:
             "sessions_closed": self.sessions_closed,
             "sessions_orphaned": self.sessions_orphaned,
             "failovers_resumed": self.failovers_resumed,
-            "failovers_degraded": self.failovers_degraded,
+            "failovers_rebuilt": self.failovers_rebuilt,
             "sessions_lost": self.sessions_lost,
             "tenants_rejected": self.tenants_rejected,
             "errors": self.errors,
@@ -291,9 +296,8 @@ class _GatewaySession:
     """Gateway-side record of one routed session."""
 
     __slots__ = (
-        "sid", "worker_id", "open_request", "policy_name", "cache_size",
-        "journal", "journal_offset", "degraded", "orphaned", "closed",
-        "lock", "tenant", "trace",
+        "sid", "worker_id", "open_request", "opened", "journal",
+        "journal_offset", "orphaned", "closed", "lock", "tenant", "trace",
     )
 
     def __init__(
@@ -301,22 +305,22 @@ class _GatewaySession:
         sid: str,
         worker_id: str,
         open_request: OpenRequest,
-        policy_name: str,
-        cache_size: int,
-        journal_offset: int,
+        reply: OpenReply,
     ) -> None:
         self.sid = sid
         self.worker_id = worker_id
+        #: The OPEN forwarded to the worker; a session adopted through
+        #: ``OPEN resume`` keeps its ``resume`` field, and cannot rebuild.
         self.open_request = open_request
-        self.policy_name = policy_name
-        self.cache_size = cache_size
+        #: The worker's reply to it (policy, cache size, ``degraded``):
+        #: a reattach answers from this record.
+        self.opened = reply
         self.tenant = open_request.tenant
         #: ``journal[i]`` is the block folded at seq ``journal_offset+i``.
         #: ``journal_offset`` is the session period when the gateway
         #: first saw it (0 unless resumed from an earlier life).
         self.journal: List[int] = []
-        self.journal_offset = journal_offset
-        self.degraded = False
+        self.journal_offset = reply.period
         self.orphaned = False
         self.closed = False
         #: Trace id riding the session's OPEN (None when unsampled); the
@@ -546,21 +550,15 @@ class AdvisoryGateway:
 
     # ------------------------------------------------------------ upstream
 
-    async def _rpc(self, link: _WorkerLink, request: Request) -> Reply:
-        """Typed round trip on a link; garbage replies kill the link."""
-        _, reply = await self._worker_call(link.worker_id, request)
-        return reply
-
     async def _forward(
         self, session: _GatewaySession, request: Request
     ) -> Tuple[bytes, Reply]:
         """Forward on the session's worker, failing over once if it died."""
         try:
-            raw, reply = await self._forward_once(session, request)
+            raw, reply = await self._worker_call(session.worker_id, request)
         except (ConnectionError, OSError):
-            failed = session.worker_id
-            await self._failover(session, exclude={failed})
-            return await self._forward_once(session, request)
+            await self._failover(session, exclude={session.worker_id})
+            return await self._worker_call(session.worker_id, request)
         if (
             isinstance(reply, ErrorReply)
             and reply.error == protocol.E_UNKNOWN_SESSION
@@ -571,86 +569,85 @@ class AdvisoryGateway:
             # dir, so failover (NOT excluding the current worker) can
             # resume it in place.
             await self._failover(session, exclude=set())
-            return await self._forward_once(session, request)
+            return await self._worker_call(session.worker_id, request)
         return raw, reply
 
-    async def _forward_once(
-        self, session: _GatewaySession, request: Request
-    ) -> Tuple[bytes, Reply]:
-        return await self._worker_call(session.worker_id, request)
+    async def _recovery_rpc(self, worker_id: str, request: Request) -> Reply:
+        """:meth:`_worker_call` for :func:`recover_session`: the reply
+        alone, with an OPEN that finds the session still live retried
+        once."""
+        _, reply = await self._worker_call(worker_id, request)
+        if (
+            isinstance(reply, ErrorReply)
+            and reply.error == protocol.E_SESSION_ERROR
+            and "already exists" in reply.message
+        ):
+            # The session is live on this worker but our link reset
+            # hasn't detached it yet; give the worker a beat to notice,
+            # then retry once.
+            await asyncio.sleep(0.05)
+            _, reply = await self._worker_call(worker_id, request)
+        return reply
+
+    def _rebuildable(self, request: OpenRequest) -> bool:
+        """Whether re-sending ``request`` rebuilds the very same session.
+
+        Only when every registry name it resolves through is pinned as
+        ``NAME@VERSION`` (a bare name always means the latest version, so
+        a rebuild could start from a newer model), and only for an OPEN
+        this gateway placed: a session adopted by resume has none.
+        """
+        if request.resume is not None:
+            return False
+        if request.tenant is None:
+            return request.model is None or "@" in request.model
+        config = self.tenant_config
+        spec = config.spec(request.tenant) if config is not None else None
+        return spec is not None and "@" in spec.model
 
     async def _failover(
         self, session: _GatewaySession, *, exclude: Set[str]
     ) -> None:
         """Move ``session`` to a live worker; caller holds its lock.
 
-        Tries each remaining ring node in succession order: first
-        ``OPEN resume`` (checkpoint / detached state, decision-identical),
-        replaying the journal tail past the restored period; when no
-        checkpoint exists anywhere (shared directory, so one worker's
-        answer speaks for all), a degraded no-prefetch session is rebuilt
-        from the full journal.  Raises :class:`SessionLost` when neither
-        is possible; the session is then removed and counted.
+        Tries each remaining ring node in succession order with
+        :func:`recover_session`: ``OPEN resume`` (checkpoint / detached
+        state) or, where :meth:`_rebuildable` allows, the original OPEN
+        again, then the journal past the restored period.  Both are
+        decision-identical.  A transport failure or a refusal moves on to
+        the next node.  Raises :class:`SessionLost` when no node can take
+        the session; the session is then removed and counted.
         """
         sid = session.sid
         prior_worker = session.worker_id
         started_s = time.perf_counter()
-        resume = replace(
-            session.open_request, id=0, resume=sid, session_id=sid,
-        )
+        rebuild = self._rebuildable(session.open_request)
         for worker_id in self.ring.preference(sid, exclude=exclude):
-            link = self._link(worker_id)
             try:
-                reply = await self._rpc(link, resume)
-                if (
-                    isinstance(reply, ErrorReply)
-                    and reply.error == protocol.E_SESSION_ERROR
-                    and "already exists" in reply.message
-                ):
-                    # The session is live on this worker but our link
-                    # reset hasn't detached it yet; give the worker a
-                    # beat to notice, then retry once.
-                    await asyncio.sleep(0.05)
-                    reply = await self._rpc(link, resume)
+                reply = await recover_session(
+                    functools.partial(self._recovery_rpc, worker_id),
+                    session.open_request, session.journal, resume=sid,
+                    offset=session.journal_offset, rebuild=rebuild,
+                )
             except (ConnectionError, OSError):
                 continue  # this candidate is down too: keep walking
-            if isinstance(reply, OpenReply):
-                period = reply.period
-                if period < session.journal_offset:
-                    break  # checkpoint predates our journal: gap
-                if period > session.next_seq + 1:
-                    break  # checkpoint from a future we never saw
-                if await self._replay_tail(link, session, period):
-                    session.worker_id = worker_id
-                    self.stats.failovers_resumed += 1
-                    self._trace_failover(session, started_s, prior_worker)
-                    # Note the resume period is NOT compaction evidence:
-                    # it may come from a worker's in-memory detached
-                    # table, not a durable checkpoint, and truncating to
-                    # it would leave a journal gap on the next failover.
-                    # Only _compact_journal (which reads the snapshot
-                    # file itself) may advance journal_offset.
-                    return
-                break
-            if (
-                isinstance(reply, ErrorReply)
-                and reply.error == protocol.E_UNKNOWN_SESSION
-                and session.journal_offset == 0
-            ):
-                # No detached state here and no checkpoint file — and
-                # the checkpoint dir is shared, so no other worker would
-                # find one either.  Rebuild from the gateway journal.
-                resumed_clean = len(session.journal) == 0
-                if await self._reopen_degraded(link, session):
-                    session.worker_id = worker_id
-                    if resumed_clean:
-                        self.stats.failovers_resumed += 1
-                    else:
-                        self.stats.failovers_degraded += 1
-                    self._trace_failover(session, started_s, prior_worker)
-                    return
-                break
-            continue  # worker-specific refusal (limits): try the next
+            except ResumeParityError:
+                break  # restored state outside our journal: a gap
+            if not isinstance(reply, OpenReply):
+                continue  # refused here (limits, no state): try the next
+            session.worker_id = worker_id
+            if reply.resumed or not session.journal:
+                self.stats.failovers_resumed += 1
+            else:
+                self.stats.failovers_rebuilt += 1
+            self._trace_failover(session, started_s, prior_worker)
+            # Note the resume period is NOT compaction evidence: it may
+            # come from a worker's in-memory detached table, not a
+            # durable checkpoint, and truncating to it would leave a
+            # journal gap on the next failover.  Only _compact_journal
+            # (which reads the snapshot file itself) may advance
+            # journal_offset.
+            return
         self.stats.sessions_lost += 1
         session.closed = True
         self.sessions.pop(sid, None)
@@ -673,24 +670,6 @@ class AdvisoryGateway:
             session=session.sid, failover=1,
             from_worker=prior, to_worker=session.worker_id,
         )
-
-    async def _replay_tail(
-        self, link: _WorkerLink, session: _GatewaySession, period: int
-    ) -> bool:
-        """Re-fold journal entries past ``period``; False on any miss."""
-        start = period - session.journal_offset
-        for i in range(max(0, start), len(session.journal)):
-            seq = session.journal_offset + i
-            try:
-                reply = await self._rpc(link, ObserveRequest(
-                    id=0, session=session.sid,
-                    block=session.journal[i], seq=seq,
-                ))
-            except (ConnectionError, OSError):
-                return False
-            if not isinstance(reply, ObserveReply):
-                return False
-        return True
 
     def _truncate_journal(
         self, session: _GatewaySession, period: int
@@ -730,40 +709,6 @@ class AdvisoryGateway:
         period = await asyncio.to_thread(_checkpoint_period)
         if period is not None:
             self._truncate_journal(session, period)
-
-    async def _reopen_degraded(
-        self, link: _WorkerLink, session: _GatewaySession
-    ) -> bool:
-        """No checkpoint anywhere: rebuild the session from the journal.
-
-        With an empty journal nothing was ever folded, so re-running the
-        original OPEN is a *clean* reopen — same policy, zero loss.  With
-        folded history the model state is unrecoverable; a no-prefetch
-        session replayed from the journal keeps the session's cache view
-        coherent (blocks, seqs) while honestly issuing no advice.
-        """
-        if session.journal:
-            reopen = OpenRequest(
-                id=0, policy="no-prefetch",
-                cache_size=session.cache_size, session_id=session.sid,
-            )
-        else:
-            reopen = replace(
-                session.open_request, id=0, resume=None,
-                session_id=session.sid,
-            )
-        try:
-            reply = await self._rpc(link, reopen)
-        except (ConnectionError, OSError):
-            return False
-        if not isinstance(reply, OpenReply):
-            return False
-        if not await self._replay_tail(link, session, 0):
-            return False
-        if session.journal:
-            session.degraded = True
-            session.policy_name = "no-prefetch"
-        return True
 
     # ------------------------------------------------------------- handlers
 
@@ -822,8 +767,8 @@ class AdvisoryGateway:
         totals: Dict[str, int] = {}
         for worker_id in sorted(self.directory.endpoints()):
             try:
-                reply = await self._rpc(
-                    self._link(worker_id), StatsRequest(id=0, session=None)
+                _, reply = await self._worker_call(
+                    worker_id, StatsRequest(id=0, session=None)
                 )
             except (ConnectionError, OSError):
                 continue
@@ -886,7 +831,7 @@ class AdvisoryGateway:
             )
         forward = replace(request, session_id=sid, trace=trace_id)
         try:
-            raw, reply = await self._forward_on(worker_id, forward)
+            raw, reply = await self._worker_call(worker_id, forward)
         except (ConnectionError, OSError):
             # Worker died under the OPEN: no session state exists yet
             # anywhere, so just place it on the next node instead.
@@ -897,24 +842,15 @@ class AdvisoryGateway:
                 return None, ErrorReply(
                     request.id, protocol.E_LIMIT, "no live workers"
                 )
-            raw, reply = await self._forward_on(worker_id, forward)
+            raw, reply = await self._worker_call(worker_id, forward)
         if isinstance(reply, OpenReply):
-            session = _GatewaySession(
-                sid, worker_id, forward,
-                policy_name=reply.policy, cache_size=reply.cache_size,
-                journal_offset=reply.period,
-            )
+            session = _GatewaySession(sid, worker_id, forward, reply)
             self.sessions[sid] = session
             owned.add(sid)
             self.stats.sessions_opened += 1
             if self.on_route is not None:
                 self.on_route(sid, worker_id)
         return raw, reply
-
-    async def _forward_on(
-        self, worker_id: str, request: Request
-    ) -> Tuple[bytes, Reply]:
-        return await self._worker_call(worker_id, request)
 
     async def _handle_resume(
         self, request: OpenRequest, owned: Set[str]
@@ -933,10 +869,9 @@ class AdvisoryGateway:
             self._orphans.pop(sid, None)
             owned.add(sid)
             self.stats.sessions_reattached += 1
-            return None, OpenReply(
-                id=request.id, session=sid, policy=session.policy_name,
-                cache_size=session.cache_size, period=session.next_seq,
-                resumed=True, degraded=session.degraded,
+            return None, replace(
+                session.opened, id=request.id, period=session.next_seq,
+                resumed=True,
             )
         # Unknown to this gateway: let the ring owner try its detached
         # table / the shared checkpoint directory.
@@ -951,13 +886,9 @@ class AdvisoryGateway:
             request, session_id=sid,
             trace=self._trace_for_open(request, sid),
         )
-        raw, reply = await self._forward_on(worker_id, forward)
+        raw, reply = await self._worker_call(worker_id, forward)
         if isinstance(reply, OpenReply):
-            session = _GatewaySession(
-                sid, worker_id, replace(forward, resume=None),
-                policy_name=reply.policy, cache_size=reply.cache_size,
-                journal_offset=reply.period,
-            )
+            session = _GatewaySession(sid, worker_id, forward, reply)
             self.sessions[sid] = session
             owned.add(sid)
             self.stats.sessions_resumed += 1
@@ -1022,15 +953,7 @@ class AdvisoryGateway:
                 f"unknown session {request.session!r}",
             )
         async with session.lock:
-            raw, reply = await self._forward(session, request)
-            if session.degraded and isinstance(reply, StatsReply):
-                # The worker sees an ordinary no-prefetch session; only
-                # the gateway knows it is a failover fallback.
-                reply = replace(
-                    reply, stats=dict(reply.stats, degraded=True)
-                )
-                raw = None
-            return raw, reply
+            return await self._forward(session, request)
 
     async def fleet_metrics(
         self,
@@ -1059,8 +982,8 @@ class AdvisoryGateway:
         worker_stats: Dict[str, Any] = {}
         for worker_id in sorted(self.directory.endpoints()):
             try:
-                reply = await self._rpc(
-                    self._link(worker_id), StatsRequest(id=0, session=None)
+                _, reply = await self._worker_call(
+                    worker_id, StatsRequest(id=0, session=None)
                 )
             except (ConnectionError, OSError):
                 per_worker[worker_id] = None
@@ -1253,8 +1176,8 @@ class AdvisoryGateway:
                 return
             session.closed = True
             try:
-                await self._rpc(
-                    self._link(session.worker_id),
+                await self._worker_call(
+                    session.worker_id,
                     protocol.CloseRequest(id=0, session=session.sid),
                 )
             except (ConnectionError, OSError):
@@ -1269,7 +1192,7 @@ class AdvisoryGateway:
             f"sessions_opened={stats.sessions_opened} "
             f"sessions_closed={stats.sessions_closed} "
             f"failovers_resumed={stats.failovers_resumed} "
-            f"failovers_degraded={stats.failovers_degraded} "
+            f"failovers_rebuilt={stats.failovers_rebuilt} "
             f"sessions_lost={stats.sessions_lost} "
             f"tenants_rejected={stats.tenants_rejected} "
             f"overload_rejections={stats.overload_rejections} "

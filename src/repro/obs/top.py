@@ -122,7 +122,7 @@ def _fleet_lines(
         ),
         (
             f"gateway failovers={gateway.get('failovers_resumed', 0)}"
-            f"+{gateway.get('failovers_degraded', 0)}d "
+            f"+{gateway.get('failovers_rebuilt', 0)}r "
             f"lost={gateway.get('sessions_lost', 0)}  "
             f"breakers={gateway.get('breakers_opened', 0)}  "
             f"shed={gateway.get('overload_rejections', 0)}"

@@ -19,8 +19,18 @@ from __future__ import annotations
 import asyncio
 import random
 import socket
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Type, TypeVar
+from dataclasses import dataclass, replace
+from typing import (
+    Any,
+    Awaitable,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Type,
+    TypeVar,
+)
 
 from repro.service import protocol
 from repro.service.protocol import (
@@ -132,13 +142,18 @@ class AsyncServiceClient:
         hello = _check_hello(protocol.decode_reply(line))
         return cls(reader, writer, hello)
 
-    async def _rpc(self, request: Request, reply_type: Type[R]) -> R:
+    async def roundtrip(self, request: Request) -> Reply:
+        """Send one request and read its reply; error replies come back
+        as values, a closed connection raises ``ConnectionError``."""
         self._writer.write(protocol.encode_request(request))
         await self._writer.drain()
         line = await self._reader.readline()
         if not line:
             raise ConnectionError("server closed the connection")
-        return _expect(protocol.decode_reply(line), reply_type)
+        return protocol.decode_reply(line)
+
+    async def _rpc(self, request: Request, reply_type: Type[R]) -> R:
+        return _expect(await self.roundtrip(request), reply_type)
 
     def _take_id(self) -> int:
         request_id = self._next_id
@@ -362,6 +377,60 @@ class ResumeParityError(Exception):
     """
 
 
+async def recover_session(
+    rpc: Callable[[Request], Awaitable[Reply]],
+    open_request: OpenRequest,
+    journal: Sequence[Any],
+    *,
+    resume: Optional[str],
+    offset: int = 0,
+    rebuild: bool,
+    check: Optional[Callable[[int, PrefetchAdvice], None]] = None,
+) -> Optional[Reply]:
+    """Bring a session back on a server from its OPEN and its journal.
+
+    ``journal[i]`` is the block folded at seq ``offset + i``.  First
+    ``OPEN resume=<resume>`` restores the session from the server's
+    detached table or checkpoint directory (the original OPEN is sent
+    whole, so tenant and trace ride along).  When there is nothing to
+    resume, ``rebuild`` is set and the journal starts at seq 0, the
+    original OPEN is sent again instead: session determinism makes a
+    full replay exact.  Then every seq the restored session has not
+    folded is replayed, and ``check(seq, advice)`` sees each reply.
+
+    ``rpc`` returns error replies as values and raises on transport
+    failure, which propagates.  Returns the OPEN reply (``resumed`` says
+    which branch ran) or the first refusal, for the caller to handle
+    (``None`` if nothing was sent).  Raises :class:`ResumeParityError`
+    when the restored period lies outside the journal.
+    """
+    reply: Optional[Reply] = None
+    if resume is not None:
+        reply = await rpc(replace(open_request, resume=resume))
+    if not isinstance(reply, OpenReply) and rebuild and offset == 0:
+        reply = await rpc(open_request)
+    if not isinstance(reply, OpenReply):
+        return reply
+    end = offset + len(journal)
+    # period may be end+1: the server folded the in-flight reference
+    # before its reply was lost; seq dedups it on the next observe.
+    if not offset <= reply.period <= end + 1:
+        raise ResumeParityError(
+            f"server restored period {reply.period} but the journal "
+            f"holds seqs {offset}..{end - 1}"
+        )
+    for seq in range(reply.period, end):
+        replayed = await rpc(ObserveRequest(
+            id=0, session=reply.session, block=journal[seq - offset],
+            seq=seq,
+        ))
+        if not isinstance(replayed, ObserveReply):
+            return replayed
+        if check is not None:
+            check(seq, replayed.advice)
+    return reply
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded exponential backoff with jitter, plus two deadlines.
@@ -410,13 +479,13 @@ class ResilientAsyncClient:
     Wraps :class:`AsyncServiceClient` with a :class:`RetryPolicy` and a
     client-side journal of every folded reference.  On a connection
     failure it reconnects with backoff and re-opens the session in the
-    cheapest way that preserves decision parity:
+    cheapest way that preserves decision parity (:func:`recover_session`):
 
     1. ``OPEN resume=<old id>`` — the server restores the session from its
        detached table or checkpoint directory; only the journal tail past
        the restored period is replayed.
-    2. Cold restart — a fresh OPEN with the original parameters and a full
-       journal replay.  Session determinism makes this exact, just slower.
+    2. Cold restart — the original OPEN again and a full journal replay.
+       Session determinism makes this exact, just slower.
 
     Every replayed observation is checked against the advice recorded the
     first time; any mismatch raises :class:`ResumeParityError`.  Duplicate
@@ -441,15 +510,18 @@ class ResilientAsyncClient:
         self.retry = retry if retry is not None else RetryPolicy()
         self._rng = random.Random(self.retry.seed)
         self._client: Optional[AsyncServiceClient] = None
-        self._open_kwargs: Optional[Dict[str, Any]] = None
+        #: The OPEN that :meth:`open` built; every recovery re-sends it.
+        self._open_request: Optional[OpenRequest] = None
+        #: Server id of the session; ``None`` forces the next reconnect
+        #: to rebuild instead of resume.
         self._session_id: Optional[str] = None
         self._journal: List[Any] = []
         self._advices: List[PrefetchAdvice] = []
-        self._force_cold = False
         self.degraded = False
-        #: Trace id the server bound to this session (None = unsampled).
-        #: Carried on every resume / cold restart so the session's spans
-        #: keep one lineage across reconnects and gateway failovers.
+        #: Trace id riding the session's OPENs: the caller's, or the one
+        #: the server bound (None = unsampled).  Carried on every resume /
+        #: cold restart so the session's spans keep one lineage across
+        #: reconnects and gateway failovers.
         self.trace: Optional[str] = None
         # resilience telemetry, summed into the replay report
         self.retries = 0
@@ -476,71 +548,54 @@ class ResilientAsyncClient:
                 pass
 
     async def _ensure_session(self) -> AsyncServiceClient:
-        timeout = self.retry.per_rpc_timeout_s
         if self._client is None:
             self._client = await AsyncServiceClient.connect(
-                self.host, self.port, timeout=timeout
+                self.host, self.port, timeout=self.retry.per_rpc_timeout_s
             )
-            if self._open_kwargs is not None:
-                await self._reopen(self._client)
+            if self._open_request is not None:
+                try:
+                    await self._reopen(self._client)
+                except BaseException:
+                    # Keep a connection only once the session is back on
+                    # it; the next attempt reconnects and recovers again.
+                    await self._teardown()
+                    raise
         return self._client
 
     async def _reopen(self, client: AsyncServiceClient) -> None:
         """Re-establish the logical session on a fresh connection."""
         timeout = self.retry.per_rpc_timeout_s
-        reply: Optional[OpenReply] = None
-        if self._session_id is not None and not self._force_cold:
-            try:
-                # Carry the tenant on the resume so a fresh worker (whose
-                # evicted-session table is empty) can rebind the restored
-                # session to its shared base and quota accounting.
-                reply = await asyncio.wait_for(
-                    client.open_session(
-                        resume=self._session_id,
-                        tenant=(self._open_kwargs or {}).get("tenant"),
-                        trace=self.trace,
-                    ),
-                    timeout,
-                )
-                self.resumes += 1
-            except ServiceError:
-                reply = None  # nothing to resume from; fall back to cold
-        if reply is None:
-            kwargs = dict(self._open_kwargs)
-            if self.trace is not None:
-                # Keep the original lineage even across a cold restart:
-                # the rebuilt session is the same logical request path.
-                kwargs["trace"] = self.trace
+
+        async def rpc(request: Request) -> Reply:
             reply = await asyncio.wait_for(
-                client.open_session(**kwargs), timeout
-            )
-            if self._journal:
-                self.cold_restarts += 1
-        self._force_cold = False
-        self._session_id = reply.session
-        if reply.trace is not None:
-            self.trace = reply.trace
-        self.degraded = self.degraded or reply.degraded
-        folded = len(self._journal)
-        if reply.period > folded + 1:
-            raise ResumeParityError(
-                f"server resumed at period {reply.period} but the journal "
-                f"only holds {folded} observations"
-            )
-        # Replay the tail the restored state has not seen.  (period may be
-        # folded+1: the server folded the in-flight reference before the
-        # reply was lost; the seq field dedups it on the next observe.)
-        for index in range(min(reply.period, folded), folded):
-            advice = await asyncio.wait_for(
-                client.observe(reply.session, self._journal[index], seq=index),
+                client.roundtrip(replace(request, id=client._take_id())),
                 timeout,
             )
-            if advice != self._advices[index]:
+            if isinstance(reply, OpenReply):
+                # Adopt the session before its replay: a reset mid-replay
+                # then resumes the partial replay instead of starting over.
+                self._session_id = reply.session
+                self.trace = reply.trace or self.trace
+                self.degraded = self.degraded or reply.degraded
+                if reply.resumed:
+                    self.resumes += 1
+                elif self._journal:
+                    self.cold_restarts += 1
+            return reply
+
+        def check(seq: int, advice: PrefetchAdvice) -> None:
+            if advice != self._advices[seq]:
                 raise ResumeParityError(
-                    f"replayed observation {index} "
-                    f"(block {self._journal[index]!r}) returned different "
+                    f"replayed observation {seq} "
+                    f"(block {self._journal[seq]!r}) returned different "
                     "advice than the original session"
                 )
+
+        _expect(await recover_session(
+            rpc, replace(self._open_request, trace=self.trace),
+            self._journal, resume=self._session_id, rebuild=True,
+            check=check,
+        ), OpenReply)
 
     async def _call(self, label: str, fn: Any) -> Any:
         """Run ``await fn(client)`` with reconnect-and-retry semantics."""
@@ -582,10 +637,6 @@ class ResilientAsyncClient:
                     ):
                         raise
                     last_exc = exc
-                    if self._session_id is None:
-                        # The OPEN itself was shed; drop the half-built
-                        # connection so the next pass re-runs the open.
-                        await self._teardown()
                     delay = exc.retry_after_s
                     if delay is None or delay <= 0:
                         delay = policy.delay_s(
@@ -599,7 +650,7 @@ class ResilientAsyncClient:
                 # stale checkpoint was resumed under our id by someone
                 # else).  Rebuild from the journal, which is ground truth.
                 last_exc = exc
-                self._force_cold = True
+                self._session_id = None
             except _RETRYABLE as exc:
                 last_exc = exc
             self.retries += 1
@@ -615,17 +666,21 @@ class ResilientAsyncClient:
     async def open(self, **open_kwargs: Any) -> str:
         """Open the logical session; keywords as
         :meth:`AsyncServiceClient.open_session` (minus ``resume``)."""
-        if self._open_kwargs is not None:
+        if self._open_request is not None:
             raise ServiceError(
                 protocol.E_BAD_REQUEST,
                 "ResilientAsyncClient manages a single session; "
                 "open() may only be called once",
             )
-        self._open_kwargs = dict(open_kwargs)
+        open_kwargs["policy_kwargs"] = dict(
+            open_kwargs.get("policy_kwargs") or {}
+        )
+        self._open_request = OpenRequest(id=0, **open_kwargs)
+        self.trace = self._open_request.trace
 
         async def _open(client: AsyncServiceClient) -> str:
-            # _ensure_session already (re)opened the session as a side
-            # effect of the stored kwargs; nothing more to send.
+            # _ensure_session already opened the session from the stored
+            # request; nothing more to send.
             assert self._session_id is not None
             return self._session_id
 
@@ -633,7 +688,7 @@ class ResilientAsyncClient:
 
     async def observe(self, block: Any) -> PrefetchAdvice:
         """Fold one reference, surviving resets/timeouts in the middle."""
-        if self._open_kwargs is None:
+        if self._open_request is None:
             raise ServiceError(protocol.E_BAD_REQUEST,
                                "no session: call open() first")
         seq = len(self._journal)
@@ -657,7 +712,7 @@ class ResilientAsyncClient:
             return await client.close_session(self._session_id)
 
         stats = await self._call("close", _close)
-        self._open_kwargs = None
+        self._open_request = None
         self._session_id = None
         return stats
 

@@ -140,7 +140,7 @@ def test_kill_mid_replay_with_breaker_open_is_lossless(tmp_path):
     report, stats = asyncio.run(scenario())
     assert report.requests == 4 * len(blocks)
     assert stats.sessions_lost == 0
-    assert stats.failovers_degraded == 0
+    assert stats.failovers_rebuilt == 0
     # Deterministic sessions: per-client advice matches the fault-free
     # stream, so the aggregate outcome counts do too.
     expected = {"demand_hit": 0, "prefetch_hit": 0, "miss": 0}

@@ -14,8 +14,10 @@ import signal
 import pytest
 
 from repro.cluster import AdvisoryGateway, WorkerSupervisor
+from repro.cluster.fleet import start_fleet
 from repro.service.client import AsyncServiceClient
 from repro.service.session import PrefetchSession
+from repro.store import ModelStore, model_snapshot
 from repro.traces.synthetic import make_trace
 
 CACHE = 64
@@ -101,6 +103,31 @@ class TestSupervisor:
                 os.kill(pid, 0)
 
 
+class TestModelPinning:
+    def test_start_fleet_pins_a_bare_default_model(self, tmp_path):
+        """A bare name means the latest version on every OPEN; the fleet
+        resolves it once, so every worker serves one version and a
+        model-less session can be rebuilt exactly."""
+        trained = PrefetchSession(policy="tree", cache_size=CACHE)
+        for block in _blocks(100):
+            trained.observe(block)
+        store = tmp_path / "models"
+        ModelStore(store).save(
+            "warm", model_snapshot(trained.simulator.policy.model())
+        )
+
+        async def scenario():
+            fleet = await start_fleet(workers=1, store=str(store),
+                                      model="warm")
+            try:
+                return fleet.supervisor._command("w0")
+            finally:
+                await fleet.aclose()
+
+        argv = asyncio.run(scenario())
+        assert argv[argv.index("--model") + 1] == "warm@1"
+
+
 class TestAcceptance:
     def test_replay_survives_worker_sigkill(self, tmp_path):
         """ISSUE acceptance: mid-replay SIGKILL of one worker completes
@@ -155,6 +182,6 @@ class TestAcceptance:
         for sid, advice in got.items():
             assert advice == want, f"{sid} diverged after failover"
         assert stats.sessions_lost == 0
-        assert stats.failovers_degraded == 0
+        assert stats.failovers_rebuilt == 0
         assert stats.failovers_resumed >= 1
         assert restarted >= 1

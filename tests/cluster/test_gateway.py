@@ -16,6 +16,8 @@ from repro.service.client import AsyncServiceClient, ServiceError
 from repro.service.faults import ChaosProxy, FaultPlan
 from repro.service.server import BackgroundServer, PrefetchService
 from repro.service.session import PrefetchSession
+from repro.store import ModelStore, model_snapshot
+from repro.tenancy.config import TenancyConfig, TenantSpec
 from repro.traces.synthetic import make_trace
 
 CACHE = 64
@@ -25,15 +27,25 @@ def _blocks(refs, name="cad", seed=1999):
     return make_trace(name, num_references=refs, seed=seed).as_list()
 
 
-def _fault_free_advice(blocks):
-    session = PrefetchSession(policy="tree", cache_size=CACHE)
+def _fault_free_advice(blocks, **session_kwargs):
+    session = PrefetchSession(policy="tree", cache_size=CACHE,
+                              **session_kwargs)
     return [session.observe(block).as_dict() for block in blocks]
+
+
+def _save_trained_model(store, seed):
+    """Save a tree model trained on 300 cad refs as the next ``warm``."""
+    trained = PrefetchSession(policy="tree", cache_size=CACHE)
+    for block in _blocks(300, seed=seed):
+        trained.observe(block)
+    return store.save("warm", model_snapshot(trained.simulator.policy.model()))
 
 
 class _Fleet:
     """N BackgroundServer workers + a gateway, wired synchronously."""
 
-    def __init__(self, count, checkpoint_dir=None, **gateway_kwargs):
+    def __init__(self, count, checkpoint_dir=None, store=None,
+                 **gateway_kwargs):
         self.checkpoint_dir = checkpoint_dir
         self.directory = StaticWorkerDirectory()
         self.workers = {}
@@ -41,6 +53,7 @@ class _Fleet:
             worker_id = f"w{i}"
             server = BackgroundServer(service=PrefetchService(
                 identity=worker_id, checkpoint_dir=checkpoint_dir,
+                store=store,
             )).start().wait_ready()
             self.workers[worker_id] = server
             self.directory.register(worker_id, "127.0.0.1", server.port)
@@ -159,7 +172,7 @@ class TestFailover:
         assert got == _fault_free_advice(blocks)
         assert final["accesses"] == len(blocks)
         assert stats.failovers_resumed == 1
-        assert stats.failovers_degraded == 0
+        assert stats.failovers_rebuilt == 0
         assert stats.sessions_lost == 0
 
     def test_stale_checkpoint_tail_is_replayed_from_journal(self, tmp_path):
@@ -193,10 +206,10 @@ class TestFailover:
         assert stats.failovers_resumed == 1
         assert stats.sessions_lost == 0
 
-    def test_no_checkpoint_falls_back_to_degraded(self):
-        """Without a checkpoint dir the session survives as a degraded
-        no-prefetch session rebuilt from the gateway journal — advice
-        stops, the session does not error."""
+    def test_no_checkpoint_rebuilds_exactly_from_the_journal(self):
+        """Without a checkpoint dir the successor re-runs the original
+        OPEN and replays the whole gateway journal: the advice goes on
+        exactly as in a fault-free run."""
         blocks = _blocks(200)
 
         async def scenario():
@@ -205,26 +218,23 @@ class TestFailover:
                     port=fleet.gateway.endpoint.port
                 ) as client:
                     sid = await client.open(policy="tree", cache_size=CACHE)
-                    for block in blocks[:100]:
-                        await client.observe(sid, block)
+                    got = [
+                        (await client.observe(sid, block)).as_dict()
+                        for block in blocks[:100]
+                    ]
                     fleet.kill(fleet.gateway.sessions[sid].worker_id)
-                    advice = [
-                        await client.observe(sid, block)
+                    got += [
+                        (await client.observe(sid, block)).as_dict()
                         for block in blocks[100:]
                     ]
-                    stats_snapshot = await client.stats(sid)
                     final = await client.close_session(sid)
-                    return advice, stats_snapshot, final, \
-                        fleet.gateway.stats
+                    return got, final, fleet.gateway.stats
 
-        advice, snapshot, final, stats = asyncio.run(scenario())
-        assert stats.failovers_degraded == 1
+        got, final, stats = asyncio.run(scenario())
+        assert got == _fault_free_advice(blocks)
+        assert stats.failovers_rebuilt == 1
         assert stats.sessions_lost == 0
-        assert snapshot["policy"] == "no-prefetch"
-        assert snapshot["degraded"]
-        # the rebuilt session kept the full history
         assert final["accesses"] == len(blocks)
-        assert all(not a.prefetch for a in advice)
 
     def test_eager_failover_moves_idle_sessions(self, tmp_path):
         """A session idle at kill time is moved by the membership event,
@@ -273,6 +283,81 @@ class TestFailover:
 
         stats = asyncio.run(scenario())
         assert stats.sessions_lost == 1
+
+
+class TestRebuildNeedsAPinnedModel:
+    """A rebuild re-resolves the OPEN's model, so the gateway rebuilds
+    only an OPEN whose model is pinned as NAME@VERSION."""
+
+    def _kill_after_newer_model(self, tmp_path, model):
+        """Open on ``model`` with ``warm@1`` saved, fold 100 refs, save
+        ``warm@2`` and kill the owner (no checkpoints), fold 100 more."""
+        store = ModelStore(tmp_path / "models")
+        assert _save_trained_model(store, seed=7) == 1
+        blocks = _blocks(200)
+
+        async def scenario():
+            async with _Fleet(2, store=store) as fleet:
+                async with await AsyncServiceClient.connect(
+                    port=fleet.gateway.endpoint.port
+                ) as client:
+                    sid = await client.open(
+                        policy="tree", cache_size=CACHE, model=model
+                    )
+                    got = [
+                        (await client.observe(sid, block)).as_dict()
+                        for block in blocks[:100]
+                    ]
+                    # A bare name now means version 2.
+                    assert _save_trained_model(store, seed=8) == 2
+                    fleet.kill(fleet.gateway.sessions[sid].worker_id)
+                    try:
+                        for block in blocks[100:]:
+                            got.append(
+                                (await client.observe(sid, block)).as_dict()
+                            )
+                    except ServiceError:
+                        pass
+                    return got, fleet.gateway.stats
+
+        got, stats = asyncio.run(scenario())
+        want = _fault_free_advice(blocks, warm_start=store.load("warm@1"))
+        return got, want, stats
+
+    def test_pinned_model_is_rebuilt_with_parity(self, tmp_path):
+        got, want, stats = self._kill_after_newer_model(tmp_path, "warm@1")
+        assert got == want
+        assert stats.failovers_rebuilt == 1
+        assert stats.sessions_lost == 0
+
+    def test_unpinned_model_is_lost_not_served_from_another_version(
+        self, tmp_path
+    ):
+        got, want, stats = self._kill_after_newer_model(tmp_path, "warm")
+        assert got == want[:100]  # nothing served after the kill
+        assert stats.failovers_rebuilt == 0
+        assert stats.sessions_lost == 1
+
+    @pytest.mark.parametrize("open_kwargs, tenant_model, rebuild", [
+        ({}, None, True),
+        ({"model": "warm@1"}, None, True),
+        ({"model": "warm"}, None, False),
+        ({"tenant": "acme"}, "base@2", True),
+        ({"tenant": "acme"}, "base", False),
+        ({"tenant": "acme"}, None, False),  # gateway has no tenant config
+        ({"resume": "g1"}, None, False),  # adopted: no original OPEN
+    ])
+    def test_rebuild_rule(self, open_kwargs, tenant_model, rebuild):
+        config = None
+        if tenant_model is not None:
+            config = TenancyConfig(tenants={
+                "acme": TenantSpec(name="acme", model=tenant_model),
+            })
+        gateway = AdvisoryGateway(
+            StaticWorkerDirectory(), tenant_config=config
+        )
+        request = protocol.OpenRequest(id=0, **open_kwargs)
+        assert gateway._rebuildable(request) is rebuild
 
 
 class TestReattach:
@@ -326,6 +411,42 @@ class TestReattach:
                     return excinfo.value.code
 
         assert asyncio.run(scenario()) == protocol.E_SESSION_ERROR
+
+    def test_reattach_reports_the_workers_degraded_flag(self, tmp_path):
+        """cb-ppm cannot load a tree model, so the worker serves the
+        session degraded; a reattach must still say so."""
+        store = ModelStore(tmp_path / "models")
+        _save_trained_model(store, seed=7)
+
+        async def scenario():
+            async with _Fleet(1, store=store) as fleet:
+                client1 = await AsyncServiceClient.connect(
+                    port=fleet.gateway.endpoint.port
+                )
+                opened = await client1.open_session(
+                    policy="cb-ppm", model="warm"
+                )
+                stats = await client1.stats(opened.session)
+                client1._writer.transport.abort()  # vanish
+                for _ in range(100):
+                    await asyncio.sleep(0.02)
+                    if fleet.gateway.stats.sessions_orphaned:
+                        break
+                async with await AsyncServiceClient.connect(
+                    port=fleet.gateway.endpoint.port
+                ) as client2:
+                    resumed = await client2.open_session(
+                        resume=opened.session
+                    )
+                    await client2.close_session(opened.session)
+                return opened, stats, resumed, fleet.gateway.stats
+
+        opened, stats, resumed, gateway_stats = asyncio.run(scenario())
+        assert opened.degraded
+        assert stats["degraded"] is True
+        assert gateway_stats.sessions_reattached == 1
+        assert resumed.resumed
+        assert resumed.degraded
 
 
 class TestChaosBetweenGatewayAndWorker:

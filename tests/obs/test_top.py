@@ -44,7 +44,7 @@ def _fleet_stats():
         },
         "gateway": {
             "failovers_resumed": 1,
-            "failovers_degraded": 0,
+            "failovers_rebuilt": 0,
             "sessions_lost": 0,
             "breakers_opened": 2,
             "overload_rejections": 5,
@@ -85,7 +85,7 @@ class TestFleetFrame:
     def test_fleet_header_and_worker_table(self):
         frame = render_top(_fleet_stats())
         assert "workers=2" in frame
-        assert "failovers=1+0d" in frame
+        assert "failovers=1+0r" in frame
         assert "breakers=2" in frame
         assert "shed=5" in frame
         assert "w0" in frame

@@ -18,10 +18,12 @@ import sys
 import pytest
 
 from repro.cluster import AdvisoryGateway, StaticWorkerDirectory
+from repro.params import PAPER_PARAMS
 from repro.service import protocol
 from repro.service.client import (
     AsyncServiceClient,
     ResilientAsyncClient,
+    ResumeParityError,
     RetryPolicy,
     ServiceClient,
 )
@@ -293,6 +295,123 @@ class TestServerKillResume:
             return True
 
         assert asyncio.run(_with_server(scenario))
+
+
+async def _drop_connection(client, service):
+    """Abort a resilient client's connection; return once the server
+    has detached the session."""
+    detached = service.metrics.sessions_detached
+    client._client._writer.transport.abort()
+    for _ in range(200):
+        if service.metrics.sessions_detached > detached:
+            return
+        await asyncio.sleep(0.01)
+    raise AssertionError("server never detached the session")
+
+
+class TestRecoveryContract:
+    """What the resilient client does when the server's state is not the
+    one its journal describes."""
+
+    def _run(self, blocks, disturb, **service_kwargs):
+        """Observe ``blocks[:150]``, ``await disturb(client, service)``,
+        then observe the rest; return the advice and the client."""
+
+        async def scenario(service, port):
+            client = ResilientAsyncClient(port=port, retry=_retry())
+            async with client:
+                await client.open(policy="tree", cache_size=CACHE)
+                got = [
+                    (await client.observe(block)).as_dict()
+                    for block in blocks[:150]
+                ]
+                await disturb(client, service)
+                for block in blocks[150:]:
+                    got.append((await client.observe(block)).as_dict())
+            return got, client
+
+        return asyncio.run(_with_server(scenario, **service_kwargs))
+
+    def test_lost_state_rebuilds_with_parity(self):
+        blocks = _blocks(300)
+
+        async def lose_state(client, service):
+            await _drop_connection(client, service)
+            service.detached.clear()
+
+        got, client = self._run(blocks, lose_state)
+        assert got == _fault_free_advice(blocks)
+        assert client.cold_restarts == 1
+        assert client.resumes == 0
+
+    def test_divergent_rebuild_raises(self):
+        """A server restarted with other parameters rebuilds a session
+        whose advice differs: that must raise, not be served."""
+        blocks = _blocks(400)
+
+        async def scenario():
+            service1 = PrefetchService()
+            await service1.endpoint.start("127.0.0.1", 0)
+            port = service1.endpoint.port
+            client = ResilientAsyncClient(port=port, retry=_retry())
+            async with client:
+                await client.open(policy="tree", cache_size=CACHE)
+                for block in blocks[:200]:
+                    await client.observe(block)
+                await service1.aclose()
+                service2 = PrefetchService(
+                    default_params=PAPER_PARAMS.with_t_cpu(2.0)
+                )
+                await service2.endpoint.start("127.0.0.1", port)
+                try:
+                    with pytest.raises(ResumeParityError,
+                                       match="replayed observation"):
+                        await client.observe(blocks[200])
+                finally:
+                    await service2.aclose()
+            return client, service2.metrics.as_dict()
+
+        client, metrics = asyncio.run(scenario())
+        assert client.cold_restarts == 1
+        assert metrics["sessions_opened"] == 1  # no second attempt
+
+    def test_resume_past_the_journal_raises(self):
+        blocks = _blocks(300)
+
+        async def fold_extra_then_drop(client, service):
+            for block in (10**6, 10**6 + 1):
+                service.sessions[client.session_id].observe(block)
+            await _drop_connection(client, service)
+
+        with pytest.raises(ResumeParityError, match="period 152"):
+            self._run(blocks, fold_extra_then_drop)
+
+    def test_seq_error_forces_a_rebuild(self):
+        blocks = _blocks(300)
+
+        async def fold_extra(client, service):
+            service.sessions[client.session_id].observe(10**6)
+
+        got, client = self._run(blocks, fold_extra)
+        assert got == _fault_free_advice(blocks)
+        assert client.cold_restarts == 1
+
+    def test_shed_rebuild_is_retried_on_a_new_connection(self):
+        """The rebuild's OPEN is shed once; the client backs off and
+        recovers on a new connection instead of keeping one that holds
+        no session."""
+        blocks = _blocks(300)
+
+        async def lose_state_and_shed_once(client, service):
+            await _drop_connection(client, service)
+            service.detached.clear()
+            shed = iter([True])
+            service.overload.shed_open = lambda: next(shed, False)
+
+        got, client = self._run(blocks, lose_state_and_shed_once)
+        assert got == _fault_free_advice(blocks)
+        assert client.overload_backoffs == 1
+        assert client.cold_restarts == 1
 
 
 class TestDegradedMode:
