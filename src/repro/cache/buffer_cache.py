@@ -57,6 +57,11 @@ class ReferenceResult:
     """The prefetch-cache entry the block was found in, when applicable."""
 
 
+#: Demand hits and misses carry no entry, so each shares one result.
+_DEMAND_HIT = ReferenceResult(Location.DEMAND)
+_MISS = ReferenceResult(Location.MISS)
+
+
 class BufferCache:
     """Fixed-size buffer pool with the Figure 2 reclaim protocol."""
 
@@ -158,14 +163,14 @@ class BufferCache:
         """
         self.profiler.record(block)
         if self.demand.access(block):
-            return ReferenceResult(Location.DEMAND)
+            return _DEMAND_HIT
         if block in self.prefetch:
             entry = self.prefetch.take(block)
             # Transition (iii): occupancy is unchanged by the move.
             evicted = self.demand.insert(block)
             assert evicted is None, "pool accounting must prevent LRU overflow"
             return ReferenceResult(Location.PREFETCH, entry=entry)
-        return ReferenceResult(Location.MISS)
+        return _MISS
 
     # ------------------------------------------------------------- reclaim
 

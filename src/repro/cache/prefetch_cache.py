@@ -96,9 +96,12 @@ class PrefetchCache:
         # Cheapest-entries cache.  Within one access period (and fixed s) an
         # entry's Eq. 11 cost is deterministic, so a single scan per period
         # suffices; insert/refresh/remove keep the sorted list exact.  Key:
-        # (cost, block); invalidated when (period, s) moves on.
+        # (cost, block); invalidated when (period, s) moves on.  A list that
+        # is not complete holds the k cheapest entries for its length k:
+        # every entry off the list costs at least its last one.
         self._cheap: List[Tuple[float, Block]] = []
         self._cheap_key: Optional[Tuple[int, float]] = None
+        self._cheap_terms: Tuple[int, float] = (0, 0.0)
         self._cheap_complete = False
 
     # ------------------------------------------------------------- queries
@@ -182,23 +185,18 @@ class PrefetchCache:
     _CHEAP_WIDTH = 32
 
     def _rebuild_cheap(self, current_period: int, s: float) -> None:
-        horizon, compute = self._cost_context(s)
+        horizon, compute = self._cheap_terms = self._cost_context(s)
         costs = [
             (self._cost_fast(e, current_period, horizon, compute), b)
             for b, e in self._entries.items()
         ]
+        costs.sort()
         complete = len(costs) <= self._CHEAP_WIDTH
         if not complete:
-            costs.sort()
             del costs[self._CHEAP_WIDTH :]
-        else:
-            costs.sort()
         self._cheap = costs
         self._cheap_key = (current_period, s)
         self._cheap_complete = complete
-
-    def _cheap_invalidate(self) -> None:
-        self._cheap_key = None
 
     def _cheap_remove(self, block: Block) -> None:
         if self._cheap_key is None:
@@ -213,15 +211,17 @@ class PrefetchCache:
     def _cheap_add(self, entry: PrefetchEntry) -> None:
         if self._cheap_key is None:
             return
-        period, s = self._cheap_key
-        horizon, compute = self._cost_context(s)
-        cost = self._cost_fast(entry, period, horizon, compute)
-        if self._cheap_complete or (
-            self._cheap and cost <= self._cheap[-1][0]
-        ) or len(self._cheap) < self._CHEAP_WIDTH:
-            bisect.insort(self._cheap, (cost, entry.block))
-            if not self._cheap_complete and len(self._cheap) > self._CHEAP_WIDTH:
-                del self._cheap[self._CHEAP_WIDTH :]
+        horizon, compute = self._cheap_terms
+        cost = self._cost_fast(entry, self._cheap_key[0], horizon, compute)
+        cheap = self._cheap
+        if self._cheap_complete:
+            bisect.insort(cheap, (cost, entry.block))
+        elif cheap and cost <= cheap[-1][0]:
+            # Entries off an incomplete list cost at least its last one, so
+            # only an entry no costlier than that may join it.
+            bisect.insort(cheap, (cost, entry.block))
+            if len(cheap) > self._CHEAP_WIDTH:
+                del cheap[self._CHEAP_WIDTH :]
 
     def min_cost_entry(
         self, current_period: int, s: float
@@ -238,12 +238,9 @@ class PrefetchCache:
         """
         if not self._entries:
             return None
-        if self._cheap_key != (current_period, s) or (
-            not self._cheap and not self._cheap_complete
-        ):
-            self._rebuild_cheap(current_period, s)
-        if not self._cheap:
-            # Complete-but-empty can only mean no entries; guarded above.
+        if self._cheap_key != (current_period, s) or not self._cheap:
+            # A complete list is empty only with no entries (returned
+            # above), so an empty list here is an exhausted incomplete one.
             self._rebuild_cheap(current_period, s)
         cost, block = self._cheap[0]
         return self._entries[block], cost

@@ -7,6 +7,9 @@ that ended that substring) and carries:
 * ``weight`` -- the number of times the node has been traversed during the
   parse; edge probability is ``child.weight / parent.weight`` (Section 2),
 * ``children`` -- outgoing edges keyed by block id,
+* ``max_child_weight`` -- an upper bound on the children's weights, so a
+  candidate scan can tell that no child clears a probability floor
+  without visiting any of them,
 * ``last_visited_child`` -- the block of the child traversed on the most
   recent visit (Section 9.6's *last visited child*),
 * intrusive LRU-list links (``lru_prev`` / ``lru_next``) used when the tree's
@@ -29,6 +32,7 @@ class TreeNode:
         "block",
         "weight",
         "children",
+        "max_child_weight",
         "parent",
         "last_visited_child",
         "lru_prev",
@@ -42,6 +46,10 @@ class TreeNode:
         self.block = block
         self.weight = 1
         self.children: Dict[int, "TreeNode"] = {}
+        # Never below any child's weight; exact unless a budget eviction
+        # removed the heaviest child.  Overlay nodes bound their base
+        # node's children too.
+        self.max_child_weight = 0
         self.parent = parent
         self.last_visited_child: Optional[int] = None
         self.lru_prev: Optional["TreeNode"] = None

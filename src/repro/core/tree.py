@@ -26,15 +26,16 @@ discarded.  The root is never evicted.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
+)
 
 from repro.core.node import TreeNode
 
 Block = Hashable
 
 
-@dataclass(frozen=True)
-class AccessOutcome:
+class AccessOutcome(NamedTuple):
     """What happened in the tree when one access was recorded.
 
     Captures the per-access signals that the paper's Section 9 metrics are
@@ -42,21 +43,21 @@ class AccessOutcome:
     """
 
     block: Block
+    #: The accessed block was a child of the current node (Section 9.4).
     predictable: bool
-    """The accessed block was a child of the current node (Section 9.4)."""
+    #: Edge probability of the accessed block from the current node (0.0
+    #: when unpredictable).
     probability: float
-    """Edge probability of the accessed block from the current node
-    (0.0 when unpredictable)."""
+    #: The current node had a last-visited-child recorded.
     lvc_available: bool
-    """The current node had a last-visited-child recorded."""
+    #: The access repeated the current node's last-visited child (Table 3).
     lvc_repeat: bool
-    """The access repeated the current node's last-visited child (Table 3)."""
+    #: The access was processed at the root (start of a substring).  Root
+    #: opportunities almost never repeat their last visited child, so
+    #: Table 3 is reported both over all nodes and over non-root nodes.
     at_root: bool
-    """The access was processed at the root (start of a substring).  Root
-    opportunities almost never repeat their last visited child, so Table 3
-    is reported both over all nodes and over non-root nodes."""
+    #: A new node was created, i.e. a substring boundary was crossed.
     created_node: bool
-    """A new node was created, i.e. a substring boundary was crossed."""
 
 
 @dataclass
@@ -161,8 +162,19 @@ class PrefetchTree:
         first.lru_prev = node
 
     def _lru_touch(self, node: TreeNode) -> None:
-        self._lru_unlink(node)
-        self._lru_push_front(node)
+        """Move a listed node to the most-recent end (unlink + push front)."""
+        head = self._lru_head
+        first = head.lru_next
+        if first is node:
+            return
+        prev, nxt = node.lru_prev, node.lru_next
+        assert prev is not None and nxt is not None and first is not None
+        prev.lru_next = nxt
+        nxt.lru_prev = prev
+        node.lru_prev = head
+        node.lru_next = first
+        head.lru_next = node
+        first.lru_prev = node
 
     def _evict_lru(self) -> int:
         """Discard the least recently traversed node (and its subtree).
@@ -226,8 +238,9 @@ class PrefetchTree:
         at_root = cur is self.root
         predictable = child is not None
         probability = child.weight / cur.weight if (predictable and cur.weight > 0) else 0.0
-        lvc_available = cur.last_visited_child is not None
-        lvc_repeat = lvc_available and cur.last_visited_child == block
+        lvc = cur.last_visited_child
+        lvc_available = lvc is not None
+        lvc_repeat = lvc_available and lvc == block
         if predictable:
             stats.predictable += 1
         if lvc_available:
@@ -239,27 +252,32 @@ class PrefetchTree:
                 if lvc_repeat:
                     stats.lvc_repeats_nonroot += 1
 
-        if cur is self.root:
+        if at_root:
             # Each substring begins with one (implicit) visit to the root.
-            self.root.weight += 1
+            cur.weight += 1
             stats.substrings += 1
 
         created = False
         if child is not None:
-            child.weight += 1
+            weight = child.weight + 1
+            child.weight = weight
+            if weight > cur.max_child_weight:
+                cur.max_child_weight = weight
             heavy = cur.heavy
             if (
                 heavy is not None
                 and block not in heavy
-                and child.weight * HEAVY_CHILD_DIVISOR >= cur.weight
+                and weight * HEAVY_CHILD_DIVISOR >= cur.weight
             ):
                 heavy[block] = child
             cur.last_visited_child = block
             self._lru_touch(child)
             self.current = child
         else:
-            node = TreeNode(block=block, parent=cur)
+            node = TreeNode(block, cur)
             cur.children[block] = node
+            if not cur.max_child_weight:
+                cur.max_child_weight = 1
             if cur.heavy is not None and HEAVY_CHILD_DIVISOR >= cur.weight:
                 cur.heavy[block] = node
             cur.last_visited_child = block
@@ -270,15 +288,8 @@ class PrefetchTree:
             created = True
             self._enforce_budget()
 
-        return AccessOutcome(
-            block=block,
-            predictable=predictable,
-            probability=probability,
-            lvc_available=lvc_available,
-            lvc_repeat=lvc_repeat,
-            at_root=at_root,
-            created_node=created,
-        )
+        return AccessOutcome(block, predictable, probability, lvc_available,
+                             lvc_repeat, at_root, created)
 
     def record_all(self, blocks: Iterable[Block]) -> None:
         """Feed an entire access sequence through the parse."""
@@ -450,6 +461,8 @@ class PrefetchTree:
             node.last_visited_child = lvc
             node.heavy_rebuild_at = rebuild_at
             parent.children[block] = node
+            if weight > parent.max_child_weight:
+                parent.max_child_weight = weight
             nodes[nid] = node
         # Heavy indexes need the children maps complete, so a second pass.
         for nid, _parent_id, _block, _weight, _lvc, heavy, _rebuild in items:
@@ -480,6 +493,7 @@ class PrefetchTree:
         Used by the property-based tests:
 
         * every non-root node's weight is >= 1 and <= its parent's weight;
+        * no child's weight exceeds its parent's ``max_child_weight``;
         * the LRU list contains exactly the non-root nodes;
         * child maps and parent pointers agree.
         """
@@ -490,6 +504,9 @@ class PrefetchTree:
             assert node.parent.children.get(node.block) is node
             assert 1 <= node.weight <= node.parent.weight, (
                 f"weight inversion at {node!r}"
+            )
+            assert node.weight <= node.parent.max_child_weight, (
+                f"child weight above its parent's bound at {node!r}"
             )
         assert seen == self._node_count, (seen, self._node_count)
         on_list = 0

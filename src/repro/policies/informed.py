@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import Hashable, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.cache.buffer_cache import BufferCache, Location
-from repro.core import costbenefit
 from repro.policies.base import Policy
 from repro.sim.engine import IssueStatus
 from repro.sim.stats import SimulationStats
@@ -116,9 +115,7 @@ class InformedPolicy(Policy):
                 self.hint_mismatches += 1
 
     def prefetch_round(self, ctx: "PrefetchContext") -> None:
-        params = ctx.params
-        s = ctx.s
-        horizon = costbenefit.prefetch_horizon(params, s)
+        horizon = ctx.prefetch_horizon
         max_depth = horizon + self.lookahead_slack
         if self.max_lookahead is not None:
             max_depth = min(max_depth, self.max_lookahead)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Hashable, List, Tuple, TYPE_CHECKING
 
 from repro.cache.buffer_cache import BufferCache, Location
-from repro.core import costbenefit
 from repro.policies.base import Policy
 from repro.predictors.base import Predictor
 from repro.sim.engine import IssueStatus
@@ -58,22 +57,21 @@ class PredictorPolicy(Policy):
                 stats.predictable_uncached += 1
 
     def prefetch_round(self, ctx: "PrefetchContext") -> None:
-        params = ctx.params
-        s = ctx.s
-        saved = costbenefit.delta_t_pf(params, 1, s)
+        saved = ctx.delta_t_pf1
         if saved <= 0.0:
             return
-        floor = costbenefit.min_profitable_probability(params, s)
-        t_driver = params.t_driver
+        floor = ctx.min_profitable_p
+        t_driver = ctx.params.t_driver
         ranked: List[Tuple[float, float, Block]] = []
         for block, p in self.predictor.predictions():
             if p <= floor:
                 continue
+            # Eq. 1 net of Eq. 14 at depth 1 (p_x = 1, p <= 1).
             net = p * saved - (1.0 - p) * t_driver
             ranked.append((net, p, block))
         ranked.sort(key=lambda item: -item[0])
-        for _, p, block in ranked[: self.max_candidates]:
-            status = ctx.try_issue(block, p, 1.0, 1)
+        for net, p, block in ranked[: self.max_candidates]:
+            status = ctx.try_issue(block, p, 1.0, 1, net=net)
             if status in (IssueStatus.REJECTED_COST, IssueStatus.NO_CAPACITY):
                 break
 

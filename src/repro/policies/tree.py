@@ -45,12 +45,12 @@ class TreePolicy(TreeBackedPolicy):
 
     def ranked_candidates(self, ctx: "PrefetchContext") -> List[RankedCandidate]:
         """Candidates with positive net benefit, best first."""
-        params = ctx.params
-        s = ctx.s
-        horizon = costbenefit.prefetch_horizon(params, s)
-        effective_depth = min(self.max_depth, horizon)
+        effective_depth = min(self.max_depth, ctx.prefetch_horizon)
         if effective_depth <= 1:
             return self._depth1_candidates(ctx)
+
+        params = ctx.params
+        s = ctx.s
 
         ranked: List[RankedCandidate] = []
         for cand in best_candidates(
@@ -73,20 +73,31 @@ class TreePolicy(TreeBackedPolicy):
         return ranked
 
     def _depth1_candidates(self, ctx: "PrefetchContext") -> List[RankedCandidate]:
-        """Fast path: only the current node's children can be profitable."""
+        """Fast path: only the current node's children can be profitable.
+
+        A child is ranked when its probability clears the floor
+        ``max(min_probability, p*)``.  The node's ``max_child_weight``
+        bounds every child's weight and float division is monotone, so
+        when ``max_child_weight / weight`` does not clear the floor no
+        child can, and the scan is skipped.  That is the common case at
+        the root, which collects a child per distinct substring-starting
+        block.  The skip comes after ``iter_relevant_children`` so a hub
+        node's index activates and rebuilds exactly as if it had scanned.
+        """
         cur = self.tree.current
         weight = cur.weight
         if weight <= 0 or not cur.has_children():
             return []
-        params = ctx.params
-        s = ctx.s
-        saved = costbenefit.delta_t_pf(params, 1, s)
+        saved = ctx.delta_t_pf1
         if saved <= 0.0:
             return []
-        t_driver = params.t_driver
-        floor = max(self.min_probability, costbenefit.min_profitable_probability(params, s))
+        floor = max(self.min_probability, ctx.min_profitable_p)
+        children = self.tree.iter_relevant_children(cur)
+        if cur.max_child_weight / weight <= floor:
+            return []
+        t_driver = ctx.params.t_driver
         ranked: List[RankedCandidate] = []
-        for block, child in self.tree.iter_relevant_children(cur):
+        for block, child in children:
             p = child.weight / weight
             if p <= floor:
                 continue
@@ -98,8 +109,8 @@ class TreePolicy(TreeBackedPolicy):
         return ranked
 
     def prefetch_round(self, ctx: "PrefetchContext") -> None:
-        for _, p_b, p_x, depth, block in self.ranked_candidates(ctx):
-            status = ctx.try_issue(block, p_b, p_x, depth)
+        for net, p_b, p_x, depth, block in self.ranked_candidates(ctx):
+            status = ctx.try_issue(block, p_b, p_x, depth, net=net)
             if status is IssueStatus.REJECTED_COST:
                 # Section 7 step 4: once the cheapest eviction costs more
                 # than the best remaining benefit, stop prefetching.

@@ -140,7 +140,7 @@ class TreeFilteredPolicy(TreePolicy):
         assert self.engine is not None
         period = self.engine.period
         for net, p_b, p_x, depth, block in self.ranked_candidates(ctx):
-            status = ctx.try_issue(block, p_b, p_x, depth)
+            status = ctx.try_issue(block, p_b, p_x, depth, net=net)
             if status is IssueStatus.ISSUED and block not in self._pending_blocks:
                 deadline = period + self.grace_periods
                 self._pending.append((deadline, block))

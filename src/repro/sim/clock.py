@@ -26,30 +26,39 @@ class SimClock:
 
     def charge_compute(self, duration: float) -> None:
         """Application computation between I/Os (``T_cpu``)."""
-        self._advance(duration)
+        if duration < 0.0:
+            _negative_duration(duration)
+        self.now += duration
         self.compute_time += duration
 
     def charge_hit(self, duration: float) -> None:
         """Buffer-cache read (``T_hit``)."""
-        self._advance(duration)
+        if duration < 0.0:
+            _negative_duration(duration)
+        self.now += duration
         self.hit_time += duration
 
     def charge_driver(self, duration: float) -> None:
         """Device-driver overhead for initiating a fetch (``T_driver``)."""
-        self._advance(duration)
+        if duration < 0.0:
+            _negative_duration(duration)
+        self.now += duration
         self.driver_time += duration
 
     def charge_demand_fetch(self, duration: float) -> None:
         """Synchronous demand fetch: the CPU idles for the disk access."""
-        self._advance(duration)
+        if duration < 0.0:
+            _negative_duration(duration)
+        self.now += duration
         self.demand_fetch_time += duration
 
     def charge_stall(self, duration: float) -> None:
         """CPU stall waiting for an in-flight prefetch to land (Figure 5)."""
-        self._advance(duration)
+        if duration < 0.0:
+            _negative_duration(duration)
+        self.now += duration
         self.stall_time += duration
 
-    def _advance(self, duration: float) -> None:
-        if duration < 0.0:
-            raise ValueError(f"cannot advance time by {duration!r} ms")
-        self.now += duration
+
+def _negative_duration(duration: float) -> None:
+    raise ValueError(f"cannot advance time by {duration!r} ms")

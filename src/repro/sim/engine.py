@@ -23,6 +23,7 @@ unconditional one-block lookahead).
 from __future__ import annotations
 
 import enum
+import math
 from typing import (
     Hashable,
     Iterable,
@@ -98,26 +99,54 @@ class StepResult(NamedTuple):
 
 
 class PrefetchContext:
-    """Engine-side API handed to a policy during its prefetch round."""
+    """Engine-side API handed to a policy during its prefetch round.
 
-    __slots__ = ("_engine", "issued")
+    A simulator keeps one context and restarts it at every step
+    (:meth:`begin`), which derives the round's cost-model terms from the
+    current ``s`` once instead of once per candidate:
+
+    * ``s`` -- the smoothed prefetches-per-period estimate;
+    * ``prefetch_horizon`` -- :func:`~repro.core.costbenefit.prefetch_horizon`;
+    * ``delta_t_pf1`` -- ``dT_pf(1)``, what a depth-1 prefetch saves
+      (:func:`~repro.core.costbenefit.delta_t_pf` at depth 1);
+    * ``min_profitable_p`` -- ``p*``, the depth-1 profitability floor
+      (:func:`~repro.core.costbenefit.min_profitable_probability`).
+
+    Each is computed with the same float operations as the function it
+    names, so it is bit-identical to calling that function at ``s``.  A
+    context built outside a step starts at the simulator's current ``s``.
+    """
+
+    __slots__ = ("_engine", "params", "issued", "decisions", "s",
+                 "prefetch_horizon", "delta_t_pf1", "min_profitable_p")
 
     def __init__(self, engine: "Simulator") -> None:
         self._engine = engine
+        self.params: SystemParams = engine.params
+        self.decisions: List[PrefetchDecision] = []
+        self.begin(engine.s)
+
+    def begin(self, s: float) -> None:
+        """Start a round at ``s``: no prefetches issued, no decisions yet."""
         self.issued = 0
-
-    @property
-    def s(self) -> float:
-        """Current smoothed prefetches-per-period estimate."""
-        return self._engine.s
-
-    @property
-    def params(self) -> SystemParams:
-        return self._engine.params
-
-    @property
-    def prefetch_horizon(self) -> int:
-        return costbenefit.prefetch_horizon(self._engine.params, self._engine.s)
+        self.decisions.clear()
+        self.s = s
+        params = self.params
+        compute = params.access_period_compute(s)
+        t_disk = params.t_disk
+        if compute <= 0.0:
+            # Degenerate all-I/O workload: no overlap is ever free.
+            horizon = max(1, math.ceil(t_disk / max(params.t_hit, 1e-9)))
+        else:
+            horizon = max(1, math.ceil(t_disk / compute))
+        self.prefetch_horizon = horizon
+        stall = t_disk - compute  # Eq. 6 at depth 1, before the clamp at 0
+        saved = t_disk - (stall if stall > 0.0 else 0.0)
+        self.delta_t_pf1 = saved
+        if saved <= 0.0:
+            self.min_profitable_p = 1.0 + 1e-9
+        else:
+            self.min_profitable_p = params.t_driver / (saved + params.t_driver)
 
     def is_cached(self, block: Block) -> bool:
         return self._engine.cache.location_of(block) is not Location.MISS
@@ -131,15 +160,74 @@ class PrefetchContext:
         *,
         forced: bool = False,
         tag: str = "tree",
+        net: Optional[float] = None,
     ) -> IssueStatus:
         """Propose prefetching ``block`` at probability ``p_b``, depth ``depth``.
 
-        Applies Section 7: computes ``B(b) - T_oh`` and compares it against
-        the cheapest buffer's eviction cost; ``forced`` skips the benefit
-        gate (the block is fetched if any buffer is reclaimable within the
-        partition bound), which is how next-limit behaves.
+        Applies Section 7: compares ``B(b) - T_oh`` against the cheapest
+        buffer's eviction cost; ``forced`` skips the benefit gate (the
+        block is fetched if any buffer is reclaimable within the partition
+        bound), which is how next-limit behaves.  A policy that ranked its
+        candidates by net benefit passes that value as ``net``; it must
+        equal ``costbenefit.benefit(...) - costbenefit.prefetch_overhead(...)``
+        at this round's ``s``, which the engine computes when ``net`` is
+        omitted.
         """
-        return self._engine._try_issue(block, p_b, p_x, depth, forced, tag, self)
+        engine = self._engine
+        stats = engine.stats
+        if self.issued >= engine.max_prefetches_per_period:
+            return IssueStatus.NO_CAPACITY
+
+        cache = engine.cache
+        location = cache.location_of(block)
+        if location is not Location.MISS:
+            # Figure 7's "candidate already resides in the cache".  Keep the
+            # resident prefetch entry's metadata fresh so Eq. 11 stays honest.
+            if location is Location.PREFETCH and not forced:
+                cache.prefetch.refresh(block, p_b, depth, engine.period)
+            stats.candidates_already_cached += 1
+            return IssueStatus.ALREADY_CACHED
+
+        s = self.s
+        params = self.params
+        if forced:
+            # Unconditional one-block lookahead: pay for a buffer if any is
+            # reclaimable, with no benefit ceiling.
+            max_cost = costbenefit.INFINITE_COST
+        else:
+            if net is None:
+                net = costbenefit.benefit(params, p_b, p_x, depth, s) - (
+                    costbenefit.prefetch_overhead(params, p_b, p_x)
+                )
+            if net <= 0.0:
+                stats.candidates_rejected_cost += 1
+                return IssueStatus.REJECTED_COST
+            max_cost = net
+
+        was_capped = cache.prefetch.is_full
+        paid = cache.try_reclaim_for_prefetch(engine.period, s, max_cost)
+        if paid is None:
+            if was_capped:
+                stats.candidates_no_capacity += 1
+                return IssueStatus.NO_CAPACITY
+            stats.candidates_rejected_cost += 1
+            return IssueStatus.REJECTED_COST
+
+        clock = engine.clock
+        clock.charge_driver(params.t_driver)
+        arrival = engine.disk.prefetch_read(clock.now)
+        cache.insert_prefetch(
+            PrefetchEntry(block, p_b, depth, engine.period, arrival, tag)
+        )
+        self.issued += 1
+        stats.prefetches_issued += 1
+        stats.prefetch_probability_sum += p_b
+        stats.prefetch_depth_sum += depth
+        decision = PrefetchDecision(block, p_b, depth, tag)
+        self.decisions.append(decision)
+        if engine.record_decisions:
+            engine.decision_log.append(decision)
+        return IssueStatus.ISSUED
 
 
 class Simulator:
@@ -195,7 +283,7 @@ class Simulator:
         self.record_decisions = record_decisions
         self.decision_log: List[PrefetchDecision] = []
         """Every prefetch decision of the run, when ``record_decisions``."""
-        self._step_decisions: List[PrefetchDecision] = []
+        self._ctx = PrefetchContext(self)
         policy.setup(self)
 
     # ------------------------------------------------------------- queries
@@ -231,47 +319,46 @@ class Simulator:
         advisory service) can feed references one at a time and stream the
         returned :class:`StepResult` back to its client.
         """
-        self.period += 1
+        self.period = period = self.period + 1
         stats = self.stats
         params = self.params
+        cache = self.cache
+        clock = self.clock
         stats.accesses += 1
         stall = 0.0
+        # s moves only at end_period, so this step's terms are fixed here.
+        ctx = self._ctx
+        s = self._s_estimator.s
+        ctx.begin(s)
 
-        location = self.cache.location_of(block)
-        self.policy.observe(block, self.period, location, self.cache, stats)
+        location = cache.location_of(block)
+        self.policy.observe(block, period, location, cache, stats)
 
-        result = self.cache.reference(block, self.period)
-        if result.location is Location.DEMAND:
+        result = cache.reference(block, period)
+        resolved = result.location
+        if resolved is Location.DEMAND:
             stats.demand_hits += 1
-            self.clock.charge_hit(params.t_hit)
-        elif result.location is Location.PREFETCH:
+            clock.charge_hit(params.t_hit)
+        elif resolved is Location.PREFETCH:
             stats.prefetch_hits += 1
             assert result.entry is not None
-            stall = max(0.0, result.entry.arrival_time - self.clock.now)
+            stall = max(0.0, result.entry.arrival_time - clock.now)
             if stall > 0.0:
-                self.clock.charge_stall(stall)
-            self.clock.charge_hit(params.t_hit)
+                clock.charge_stall(stall)
+            clock.charge_hit(params.t_hit)
         else:
             stats.misses += 1
-            self.cache.reclaim_for_demand(self.period, self.s)
-            self.clock.charge_driver(params.t_driver)
-            completion = self.disk.demand_read(self.clock.now)
-            self.clock.charge_demand_fetch(completion - self.clock.now)
-            self.cache.insert_demand(block)
-            self.clock.charge_hit(params.t_hit)
+            cache.reclaim_for_demand(period, s)
+            clock.charge_driver(params.t_driver)
+            completion = self.disk.demand_read(clock.now)
+            clock.charge_demand_fetch(completion - clock.now)
+            cache.insert_demand(block)
+            clock.charge_hit(params.t_hit)
 
-        self._step_decisions = []
-        ctx = PrefetchContext(self)
         self.policy.prefetch_round(ctx)
         self._s_estimator.end_period(ctx.issued)
-        self.clock.charge_compute(params.t_cpu)
-        return StepResult(
-            block=block,
-            period=self.period,
-            location=result.location,
-            stall_ms=stall,
-            decisions=tuple(self._step_decisions),
-        )
+        clock.charge_compute(params.t_cpu)
+        return StepResult(block, period, resolved, stall, tuple(ctx.decisions))
 
     def finalize(self) -> SimulationStats:
         """Seal and validate the statistics after the last access."""
@@ -299,76 +386,6 @@ class Simulator:
         self.policy.snapshot_extra(stats)
         stats.check_conservation()
         return stats
-
-    # ----------------------------------------------------- prefetch issuing
-
-    def _try_issue(
-        self,
-        block: Block,
-        p_b: float,
-        p_x: float,
-        depth: int,
-        forced: bool,
-        tag: str,
-        ctx: PrefetchContext,
-    ) -> IssueStatus:
-        stats = self.stats
-        if ctx.issued >= self.max_prefetches_per_period:
-            return IssueStatus.NO_CAPACITY
-
-        location = self.cache.location_of(block)
-        if location is not Location.MISS:
-            # Figure 7's "candidate already resides in the cache".  Keep the
-            # resident prefetch entry's metadata fresh so Eq. 11 stays honest.
-            if location is Location.PREFETCH and not forced:
-                self.cache.prefetch.refresh(block, p_b, depth, self.period)
-            stats.candidates_already_cached += 1
-            return IssueStatus.ALREADY_CACHED
-
-        s = self.s
-        if forced:
-            # Unconditional one-block lookahead: pay for a buffer if any is
-            # reclaimable, with no benefit ceiling.
-            max_cost = costbenefit.INFINITE_COST
-        else:
-            net = costbenefit.benefit(self.params, p_b, p_x, depth, s) - (
-                costbenefit.prefetch_overhead(self.params, p_b, p_x)
-            )
-            if net <= 0.0:
-                stats.candidates_rejected_cost += 1
-                return IssueStatus.REJECTED_COST
-            max_cost = net
-
-        was_capped = self.cache.prefetch.is_full
-        paid = self.cache.try_reclaim_for_prefetch(self.period, s, max_cost)
-        if paid is None:
-            if was_capped:
-                stats.candidates_no_capacity += 1
-                return IssueStatus.NO_CAPACITY
-            stats.candidates_rejected_cost += 1
-            return IssueStatus.REJECTED_COST
-
-        self.clock.charge_driver(self.params.t_driver)
-        arrival = self.disk.prefetch_read(self.clock.now)
-        self.cache.insert_prefetch(
-            PrefetchEntry(
-                block=block,
-                probability=p_b,
-                depth=depth,
-                issue_period=self.period,
-                arrival_time=arrival,
-                tag=tag,
-            )
-        )
-        ctx.issued += 1
-        stats.prefetches_issued += 1
-        stats.prefetch_probability_sum += p_b
-        stats.prefetch_depth_sum += depth
-        decision = PrefetchDecision(block, p_b, depth, tag)
-        self._step_decisions.append(decision)
-        if self.record_decisions:
-            self.decision_log.append(decision)
-        return IssueStatus.ISSUED
 
 
 def simulate(

@@ -112,6 +112,7 @@ class OverlayTree(PrefetchTree):
         root.last_visited_child = base.root.last_visited_child
         root.heavy = None if base.root.heavy is None else dict(base.root.heavy)
         root.heavy_rebuild_at = base.root.heavy_rebuild_at
+        root.max_child_weight = base.root.max_child_weight
         root.base = base.root
         self.root = root
         self.current = root
@@ -138,6 +139,7 @@ class OverlayTree(PrefetchTree):
             None if base_child.heavy is None else dict(base_child.heavy)
         )
         node.heavy_rebuild_at = base_child.heavy_rebuild_at
+        node.max_child_weight = base_child.max_child_weight
         node.base = base_child
         parent.children[block] = node
         # The owned parent's heavy index may still point at the base child;
@@ -208,19 +210,24 @@ class OverlayTree(PrefetchTree):
 
         created = False
         if child is not None:
-            child.weight += 1
+            weight = child.weight + 1
+            child.weight = weight
+            if weight > cur.max_child_weight:
+                cur.max_child_weight = weight
             heavy = cur.heavy
             if (
                 heavy is not None
                 and block not in heavy
-                and child.weight * HEAVY_CHILD_DIVISOR >= cur.weight
+                and weight * HEAVY_CHILD_DIVISOR >= cur.weight
             ):
                 heavy[block] = child
             cur.last_visited_child = block
             self.current = child
         else:
-            node = TreeNode(block=block, parent=cur)
+            node = TreeNode(block, cur)
             cur.children[block] = node
+            if not cur.max_child_weight:
+                cur.max_child_weight = 1
             if cur.heavy is not None and HEAVY_CHILD_DIVISOR >= cur.weight:
                 cur.heavy[block] = node
             cur.last_visited_child = block
@@ -230,15 +237,8 @@ class OverlayTree(PrefetchTree):
             self.current = self.root
             created = True
 
-        return AccessOutcome(
-            block=block,
-            predictable=predictable,
-            probability=probability,
-            lvc_available=lvc_available,
-            lvc_repeat=lvc_repeat,
-            at_root=at_root,
-            created_node=created,
-        )
+        return AccessOutcome(block, predictable, probability, lvc_available,
+                             lvc_repeat, at_root, created)
 
     # ------------------------------------------------------------- queries
 
@@ -389,7 +389,11 @@ class OverlayTree(PrefetchTree):
             node.heavy_rebuild_at = rebuild_at
             if parent.base is not None:
                 node.base = parent.base.children.get(block)
+            if node.base is not None:
+                node.max_child_weight = node.base.max_child_weight
             parent.children[block] = node
+            if weight > parent.max_child_weight:
+                parent.max_child_weight = weight
             nodes[nid] = node
             self._owned_count += 1
             if node.base is None:
@@ -421,13 +425,28 @@ class OverlayTree(PrefetchTree):
 
     def check_invariants(self) -> None:
         """Overlay-specific structural invariants (the base-class LRU and
-        count checks do not apply to a partial view)."""
+        count checks do not apply to a partial view).
+
+        Every owned node's ``max_child_weight`` bounds its merged child
+        view, base children included."""
         owned = 0
         new = 0
+        for _, child in self._iter_union(self.root):
+            assert child.weight <= self.root.max_child_weight, (
+                f"child weight above the root's bound at {child!r}"
+            )
         stack = list(self.root.children.values())
         while stack:
             node = stack.pop()
             owned += 1
+            view = (
+                self._iter_union(node) if node.base is not None
+                else node.children.items()
+            )
+            for _, child in view:
+                assert child.weight <= node.max_child_weight, (
+                    f"child weight above its parent's bound at {child!r}"
+                )
             assert node.parent is not None
             assert node.parent.children.get(node.block) is node
             assert node.parent.base is not None or node.base is None, (

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.prefetch_cache import OVERDUE_DECAY, PrefetchCache, PrefetchEntry
 from repro.core import costbenefit
@@ -149,3 +151,88 @@ class TestEvictionCosts:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             PrefetchCache(PAPER_PARAMS, capacity=-1)
+
+
+def brute_min_cost(pc, period, s):
+    """The cheapest Eq. 11 cost over every resident entry."""
+    return min(pc.eviction_cost(e, period, s) for e in pc)
+
+
+class TestCheapList:
+    """``min_cost_entry`` keeps the k cheapest entries between rescans;
+    with more than k resident it must still return a cheapest one."""
+
+    def test_short_list_does_not_admit_a_costlier_entry(self):
+        pc = PrefetchCache(PAPER_PARAMS, capacity=64)
+        for block in range(40):
+            pc.insert(entry(block, p=(block + 1) / 100, depth=1, period=0))
+        head, _ = pc.min_cost_entry(5, 1.0)
+        pc.evict(head.block)
+        # The list now holds 31 of the 32 cheapest; blocks 32-39 are off it.
+        pc.insert(entry(999, p=0.99, depth=1, period=0))
+        for _ in range(31):
+            head, _ = pc.min_cost_entry(5, 1.0)
+            pc.evict(head.block)
+        head, cost = pc.min_cost_entry(5, 1.0)
+        assert head.block == 32
+        assert cost == pc.eviction_cost(pc.get(32), 5, 1.0)
+        assert cost == brute_min_cost(pc, 5, 1.0)
+
+    @pytest.mark.parametrize("width", [4, PrefetchCache._CHEAP_WIDTH])
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "take", "evict", "evict", "evict",
+                                 "refresh", "tick"]),
+                st.integers(min_value=0, max_value=99),
+                st.integers(min_value=1, max_value=100),
+                st.integers(min_value=1, max_value=4),
+            ),
+            max_size=150,
+        ),
+        st.sampled_from([0.0, 0.75, 2.5, 40.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, width, extra, ops, s):
+        """Random insert/take/evict/refresh sequences starting from more
+        entries than the list holds (the production width, and a narrow
+        one that reaches deep into the list in a few operations)."""
+
+        class Narrow(PrefetchCache):
+            _CHEAP_WIDTH = width
+
+        pc = Narrow(PAPER_PARAMS, capacity=150)
+        period = 3
+        for block in range(width + extra):
+            pc.insert(entry(100 + block, p=(block % 17 + 1) / 20,
+                            depth=block % 4 + 1, period=block % 3))
+
+        def cheapest():
+            found = pc.min_cost_entry(period, s)
+            if len(pc) == 0:
+                assert found is None
+                return None
+            head, cost = found
+            assert cost == brute_min_cost(pc, period, s)
+            assert pc.eviction_cost(head, period, s) == cost
+            return head
+
+        for op, block, percent, depth in ops:
+            if op == "insert":
+                if block not in pc:
+                    pc.insert(entry(block, p=percent / 100, depth=depth,
+                                    period=period))
+            elif op == "take":
+                if block in pc:
+                    pc.take(block)
+            elif op == "evict":
+                head = cheapest()
+                if head is not None:
+                    pc.evict(head.block)
+            elif op == "refresh":
+                pc.refresh(block, percent / 100, depth, period)
+            else:
+                period += 1
+                s = s * 0.95 + depth * 0.05
+            cheapest()

@@ -4,7 +4,11 @@ The parity tests compare the engine with itself (offline run vs session
 vs server); these digests compare it with the engine as it was when they
 were generated.  A refactor of the engine's inner loop that changes one
 outcome, one decision, one probability's float bits or the order of a
-period's decisions changes a digest here.
+period's decisions changes a digest here.  For every case with a model (all tree-backed cases among
+them), the SHA-256 of the model's ``snapshot_state()`` at the end of the
+stream is pinned as well: a change that keeps every decision but moves
+the tree's state (a hub node's relevant-children index rebuilt on a
+different schedule, say) changes a later decision on a longer stream.
 
 The stream comes from :class:`random.Random` (not numpy) so a library
 upgrade cannot move it.  When a deliberate behaviour change moves a
@@ -12,6 +16,7 @@ digest, regenerate with ``python tests/sim/test_advice_pinned.py``.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -77,6 +82,36 @@ PINNED = {
         "44c39e0eea2440324e7e7c811a354181ce9985c0fef0673cddf682b6bae3dc5b",
 }
 
+#: ``sha256(json(model.snapshot_state()))`` after the stream, per case.
+PINNED_MODELS = {
+    "cb-last-successor":
+        "200bcf4c7e46a706e0a11258f7698e568575254373a0e662a0beefb4372950f9",
+    "cb-lz":
+        "d7473ae21cadd4abe04c50a9d18e9a45bd10c3b9009cca651700180906ea5f2d",
+    "cb-markov":
+        "c5bc3f129310c844195ef3a4be59fecdda05ba7e71271404135a6cab93c5aef2",
+    "cb-ppm":
+        "8a9b29936d28d97b07d701ebed8b574cbac2b02212412a4fec08c0f50d53f2f0",
+    "cb-prob-graph":
+        "6552bd91546c5d7821f0e7691353205d3ef0fa18ec73a1c7311e799fdff61292",
+    "perfect-selector":
+        "33f17a847398dc1f948e62fb24a50f2a5baa9b4fcc7e7507bd85789bacdaf96f",
+    "tree":
+        "8b18a9b68ecf61271dee0e1ef4f82733c058b80a487326a3d28840c1e96c36c1",
+    "tree-children":
+        "8b18a9b68ecf61271dee0e1ef4f82733c058b80a487326a3d28840c1e96c36c1",
+    "tree-filtered":
+        "8b18a9b68ecf61271dee0e1ef4f82733c058b80a487326a3d28840c1e96c36c1",
+    "tree-lvc":
+        "8b18a9b68ecf61271dee0e1ef4f82733c058b80a487326a3d28840c1e96c36c1",
+    "tree-next-limit":
+        "8b18a9b68ecf61271dee0e1ef4f82733c058b80a487326a3d28840c1e96c36c1",
+    "tree-threshold":
+        "8b18a9b68ecf61271dee0e1ef4f82733c058b80a487326a3d28840c1e96c36c1",
+    "tree@t_cpu=2":
+        "8b18a9b68ecf61271dee0e1ef4f82733c058b80a487326a3d28840c1e96c36c1",
+}
+
 
 def stream(n=REFS, seed=14):
     """Repeated chains, short sequential runs and cold blocks."""
@@ -100,8 +135,22 @@ def stream(n=REFS, seed=14):
     return blocks[:n]
 
 
+def model_digest(sim):
+    """SHA-256 of the policy model's snapshot, or ``None`` without a model."""
+    model = sim.policy.model()
+    if model is None:
+        return None
+    blob = json.dumps(model.snapshot_state(), sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(blob.encode("ascii")).hexdigest()
+
+
 def advice_digest(case):
-    """Run one case the way :meth:`Simulator.run` does, hashing every step."""
+    """Run one case the way :meth:`Simulator.run` does, hashing every step.
+
+    Returns the advice digest, the sealed statistics, the decision depths
+    seen and the model digest at the end of the stream.
+    """
     name, params = CASES[case]
     blocks = stream()
     sim = Simulator(params, make_policy(name, **KWARGS.get(name, {})), CACHE)
@@ -118,12 +167,12 @@ def advice_digest(case):
             depths.add(d.depth)
         digest.update(("|".join(parts) + "\n").encode("ascii"))
     stats = sim.finalize()
-    return digest.hexdigest(), stats, depths
+    return digest.hexdigest(), stats, depths, model_digest(sim)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_advice_matches_pinned_digest(case):
-    digest, stats, _ = advice_digest(case)
+    digest, stats, _, _ = advice_digest(case)
     if case in SILENT:
         assert stats.prefetches_issued == 0
     else:
@@ -133,10 +182,22 @@ def test_advice_matches_pinned_digest(case):
 
 
 def test_short_period_reaches_past_depth_one():
-    _, _, depths = advice_digest(DEEP)
+    _, _, depths, _ = advice_digest(DEEP)
     assert max(depths) >= 2
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_model_matches_pinned_digest(case):
+    assert advice_digest(case)[3] == PINNED_MODELS.get(case)
+
+
 if __name__ == "__main__":
-    for case in sorted(CASES):
-        print(f'    "{case}":\n        "{advice_digest(case)[0]}",')
+    results = {case: advice_digest(case) for case in sorted(CASES)}
+    print("PINNED = {")
+    for case, result in results.items():
+        print(f'    "{case}":\n        "{result[0]}",')
+    print("}\n\nPINNED_MODELS = {")
+    for case, result in results.items():
+        if result[3] is not None:
+            print(f'    "{case}":\n        "{result[3]}",')
+    print("}")
