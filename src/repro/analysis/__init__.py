@@ -2,12 +2,7 @@
 
 from repro.analysis.ascii_chart import render_chart
 from repro.analysis.experiments import ALL_EXPERIMENTS, ExperimentResult
-from repro.analysis.metrics import (
-    additivity_gap,
-    max_miss_reduction,
-    miss_reduction,
-    reduction_series,
-)
+from repro.analysis.metrics import miss_reduction
 from repro.analysis.runner import ExperimentContext, default_context
 from repro.analysis.scheduler import (
     ResultStore,
@@ -18,16 +13,7 @@ from repro.analysis.scheduler import (
     run_batch,
     spec_hash,
 )
-from repro.analysis.sweep import (
-    DEFAULT_CACHE_SIZES,
-    DEFAULT_TCPU_VALUES,
-    SweepResult,
-    cache_size_sweep,
-    parameter_sweep,
-    spec_grid,
-    tcpu_sweep,
-    tree_nodes_sweep,
-)
+from repro.analysis.sweep import DEFAULT_CACHE_SIZES, spec_grid
 from repro.analysis.tables import render_dict, render_series, render_table
 from repro.analysis.tracestats import (
     characterise,
@@ -42,23 +28,16 @@ from repro.analysis.tracestats import (
 __all__ = [
     "ALL_EXPERIMENTS",
     "DEFAULT_CACHE_SIZES",
-    "DEFAULT_TCPU_VALUES",
     "ExperimentContext",
     "ExperimentResult",
     "ResultStore",
     "Scheduler",
     "SchedulerCounters",
-    "SweepResult",
-    "additivity_gap",
-    "cache_size_sweep",
     "characterise",
     "default_context",
     "first_access_share",
-    "max_miss_reduction",
     "miss_reduction",
-    "parameter_sweep",
     "predictability",
-    "reduction_series",
     "RunSpec",
     "execute",
     "render_chart",
@@ -71,7 +50,5 @@ __all__ = [
     "sequentiality",
     "spec_grid",
     "spec_hash",
-    "tcpu_sweep",
-    "tree_nodes_sweep",
     "working_set_curve",
 ]

@@ -3,17 +3,12 @@
 The reproduction does not chase the paper's absolute numbers (our traces
 are synthetic stand-ins); what must hold is the *shape* of each result:
 which policy wins on which workload, roughly by how much, and how trends
-move with cache size.  These helpers compute the shape quantities the
-paper states in prose (miss-rate reductions vs no-prefetch, additivity of
-tree and next-limit gains) so benches and regression tests can assert
-them.
+move with cache size.  :func:`miss_reduction` is the shape quantity the
+paper states in prose (miss-rate reductions vs no-prefetch), so benches
+and regression tests can assert it.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Sequence
-
-from repro.analysis.sweep import SweepResult
 
 
 def miss_reduction(baseline: float, value: float) -> float:
@@ -25,57 +20,3 @@ def miss_reduction(baseline: float, value: float) -> float:
     if baseline <= 0.0:
         return 0.0
     return 100.0 * (baseline - value) / baseline
-
-
-def max_miss_reduction(
-    baseline: SweepResult, candidate: SweepResult
-) -> float:
-    """Largest per-point miss-rate reduction across a sweep.
-
-    This is the paper's "reduces cache miss rates by up to N%" quantity.
-    """
-    if baseline.x_values != candidate.x_values:
-        raise ValueError("sweeps cover different x values")
-    base = baseline.metric("miss_rate")
-    cand = candidate.metric("miss_rate")
-    return max(miss_reduction(b, c) for b, c in zip(base, cand))
-
-
-def reduction_series(
-    baseline: SweepResult, candidate: SweepResult
-) -> Dict[str, Sequence[float]]:
-    """Point-wise reductions, keyed for rendering."""
-    base = baseline.metric("miss_rate")
-    cand = candidate.metric("miss_rate")
-    return {
-        "baseline_miss": base,
-        "candidate_miss": cand,
-        "reduction_pct": [miss_reduction(b, c) for b, c in zip(base, cand)],
-    }
-
-
-def additivity_gap(
-    no_prefetch: SweepResult,
-    tree: SweepResult,
-    next_limit: SweepResult,
-    combined: SweepResult,
-) -> Sequence[float]:
-    """Per-point gap between the combined gain and the sum of parts.
-
-    Section 9.1: "the reduction in miss rate of tree-next-limit compared to
-    no-prefetch is the *sum* of the reductions of tree and next-limit".
-    Returns ``(tree_gain + nl_gain) - combined_gain`` in miss-rate points;
-    values near zero (or negative: combined better than the sum) confirm
-    the claim.
-    """
-    base = no_prefetch.metric("miss_rate")
-    t = tree.metric("miss_rate")
-    nl = next_limit.metric("miss_rate")
-    both = combined.metric("miss_rate")
-    gaps = []
-    for b, tv, nv, cv in zip(base, t, nl, both):
-        tree_gain = b - tv
-        nl_gain = b - nv
-        combined_gain = b - cv
-        gaps.append((tree_gain + nl_gain) - combined_gain)
-    return gaps

@@ -2,38 +2,21 @@
 
 Each paper figure is a sweep of one knob (cache size, T_cpu, tree node
 budget, threshold probability, child count) with one simulation run per
-point.  :class:`SweepResult` holds the grid of
-:class:`~repro.sim.stats.SimulationStats` and extracts named metric series
-for rendering or assertion.
-
-Sweeps over *registered* policies and synthetic workloads should be
-declared as :class:`~repro.analysis.scheduler.RunSpec` grids
-(:func:`spec_grid`) and submitted to the
-:class:`~repro.analysis.scheduler.Scheduler` — that is the single cached,
-parallel execution path.  The ``*_sweep`` functions below remain as the
-escape hatch for ad-hoc policy objects (custom factories, pre-attached
-extent maps) that cannot be described by name + kwargs; they run
-in-process and uncached.
+point.  Sweeps are declared as :class:`~repro.analysis.scheduler.RunSpec`
+grids (:func:`spec_grid`) and submitted to the
+:class:`~repro.analysis.scheduler.Scheduler` — the single cached,
+parallel execution path.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.scheduler import RunSpec
-from repro.params import SystemParams
-from repro.sim.engine import Simulator
-from repro.sim.stats import SimulationStats
-from repro.traces.base import Trace
 
 #: Cache sizes (in blocks) used for the paper's cache-size sweeps.
 DEFAULT_CACHE_SIZES = (128, 256, 512, 1024, 2048, 4096)
-#: T_cpu values (ms) of Section 9.2.3.
-DEFAULT_TCPU_VALUES = (20.0, 40.0, 50.0, 80.0, 160.0, 320.0, 640.0)
-
-PolicyFactory = Callable[[], Any]
 
 
 def spec_grid(
@@ -73,139 +56,3 @@ def spec_grid(
             trace_names, policy_names, cache_sizes
         )
     ]
-
-
-@dataclass
-class SweepResult:
-    """Stats for one policy across the sweep's x values."""
-
-    x_name: str
-    x_values: List[Any]
-    runs: List[SimulationStats]
-    label: str = ""
-    meta: Dict[str, Any] = field(default_factory=dict)
-
-    def metric(self, name: str) -> List[float]:
-        """Extract a metric series; ``name`` is a SimulationStats attribute
-        (or property) or an ``extra`` key."""
-        series: List[float] = []
-        for stats in self.runs:
-            if hasattr(stats, name):
-                series.append(getattr(stats, name))
-            elif name in stats.extra:
-                series.append(stats.extra[name])
-            else:
-                raise KeyError(f"unknown metric {name!r}")
-        return series
-
-    def at(self, x: Any) -> SimulationStats:
-        return self.runs[self.x_values.index(x)]
-
-
-def cache_size_sweep(
-    params: SystemParams,
-    policy_factory: PolicyFactory,
-    trace: Trace,
-    *,
-    cache_sizes: Sequence[int] = DEFAULT_CACHE_SIZES,
-    label: str = "",
-    sim_kwargs: Optional[Dict[str, Any]] = None,
-) -> SweepResult:
-    """One run per cache size (Figures 6-10, 14-17)."""
-    blocks = trace.as_list()
-    runs: List[SimulationStats] = []
-    for size in cache_sizes:
-        policy = policy_factory()
-        sim = Simulator(params, policy, size, **(sim_kwargs or {}))
-        runs.append(sim.run(blocks))
-    return SweepResult(
-        x_name="cache_blocks",
-        x_values=list(cache_sizes),
-        runs=runs,
-        label=label or getattr(runs[0].extra, "get", lambda *_: "")("policy"),
-        meta={"trace": trace.name, "references": len(blocks)},
-    )
-
-
-def tcpu_sweep(
-    params: SystemParams,
-    policy_factory: PolicyFactory,
-    trace: Trace,
-    *,
-    cache_size: int = 1024,
-    tcpu_values: Sequence[float] = DEFAULT_TCPU_VALUES,
-    label: str = "",
-    sim_kwargs: Optional[Dict[str, Any]] = None,
-) -> SweepResult:
-    """One run per T_cpu value at a fixed cache size (Figures 11-12)."""
-    blocks = trace.as_list()
-    runs: List[SimulationStats] = []
-    for tcpu in tcpu_values:
-        policy = policy_factory()
-        sim = Simulator(
-            params.with_t_cpu(tcpu), policy, cache_size, **(sim_kwargs or {})
-        )
-        runs.append(sim.run(blocks))
-    return SweepResult(
-        x_name="t_cpu_ms",
-        x_values=list(tcpu_values),
-        runs=runs,
-        label=label,
-        meta={"trace": trace.name, "cache_size": cache_size},
-    )
-
-
-def tree_nodes_sweep(
-    params: SystemParams,
-    policy_factory: Callable[[Optional[int]], Any],
-    trace: Trace,
-    *,
-    cache_size: int = 1024,
-    node_budgets: Sequence[Optional[int]] = (1024, 4096, 8192, 32768, 131072, None),
-    label: str = "",
-    sim_kwargs: Optional[Dict[str, Any]] = None,
-) -> SweepResult:
-    """One run per prefetch-tree node budget (Figure 13).
-
-    ``policy_factory`` receives the budget (``None`` = unbounded).
-    """
-    blocks = trace.as_list()
-    runs: List[SimulationStats] = []
-    for budget in node_budgets:
-        policy = policy_factory(budget)
-        sim = Simulator(params, policy, cache_size, **(sim_kwargs or {}))
-        runs.append(sim.run(blocks))
-    return SweepResult(
-        x_name="tree_node_budget",
-        x_values=list(node_budgets),
-        runs=runs,
-        label=label,
-        meta={"trace": trace.name, "cache_size": cache_size},
-    )
-
-
-def parameter_sweep(
-    params: SystemParams,
-    policy_factory: Callable[[Any], Any],
-    trace: Trace,
-    values: Sequence[Any],
-    *,
-    cache_size: int = 1024,
-    x_name: str = "parameter",
-    label: str = "",
-    sim_kwargs: Optional[Dict[str, Any]] = None,
-) -> SweepResult:
-    """Generic one-knob sweep (Table 4's threshold, tree-children's k)."""
-    blocks = trace.as_list()
-    runs: List[SimulationStats] = []
-    for value in values:
-        policy = policy_factory(value)
-        sim = Simulator(params, policy, cache_size, **(sim_kwargs or {}))
-        runs.append(sim.run(blocks))
-    return SweepResult(
-        x_name=x_name,
-        x_values=list(values),
-        runs=runs,
-        label=label,
-        meta={"trace": trace.name, "cache_size": cache_size},
-    )

@@ -13,7 +13,13 @@ that ended that substring) and carries:
 * ``last_visited_child`` -- the block of the child traversed on the most
   recent visit (Section 9.6's *last visited child*),
 * intrusive LRU-list links (``lru_prev`` / ``lru_next``) used when the tree's
-  node budget is capped (Section 9.3 / Figure 13).
+  node budget is capped (Section 9.3 / Figure 13),
+* ``base`` -- for a copy-on-write overlay's node, the read-only node of the
+  shared base tree it shadows.  Its ``children`` then hold only the edges
+  the overlay has copied or created; every other edge is read from
+  ``base.children`` (see :meth:`TreeNode.child_items`).  ``None`` on every
+  node of a private tree, on base nodes and on overlay-new nodes, whose
+  ``children`` are complete.
 
 The paper reports 40 bytes per node in its C simulator; the Python node is
 larger, but the *node count* is what Figure 13 sweeps, so we cap on count and
@@ -22,7 +28,7 @@ convert to the paper's bytes-per-node when reporting.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 
 class TreeNode:
@@ -58,8 +64,8 @@ class TreeNode:
         # PrefetchTree.iter_relevant_children.  None = scan children directly.
         self.heavy: Optional[Dict[int, "TreeNode"]] = None
         self.heavy_rebuild_at: int = 0
-        # Multi-tenant overlays (repro.tenancy.overlay): the read-only base
-        # node this node shadows, or None for private/base/overlay-new nodes.
+        # The shared base node this overlay node shadows; see the module
+        # docstring.  None = ``children`` is complete.
         self.base: Optional["TreeNode"] = None
 
     @property
@@ -95,6 +101,22 @@ class TreeNode:
             return 0.0
         return child.weight / self.weight
 
+    def child_items(self) -> Iterable[Tuple[int, "TreeNode"]]:
+        """``(block, child)`` for every outgoing edge, base edges included.
+
+        A node that shadows a base node yields the base's children in base
+        insertion order, with the owned copies substituted, and then the
+        children created since in creation order: the order a private
+        copy restored from the base's snapshot observes (restored
+        children first, new ones appended).
+        """
+        base = self.base
+        if base is None:
+            return self.children.items()
+        if not self.children:
+            return base.children.items()
+        return _merged_items(self.children, base.children)
+
     def iter_descendants(self) -> Iterator["TreeNode"]:
         """Yield every node in this subtree (excluding ``self``), depth-first."""
         stack = list(self.children.values())
@@ -129,3 +151,11 @@ class TreeNode:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = "ROOT" if self.is_root else repr(self.block)
         return f"<TreeNode {label} w={self.weight} children={len(self.children)}>"
+
+
+def _merged_items(children, base_children):
+    for block, child in base_children.items():
+        yield block, children.get(block, child)
+    for block, child in children.items():
+        if block not in base_children:
+            yield block, child

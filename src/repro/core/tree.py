@@ -21,6 +21,11 @@ Optional node budget (Section 9.3): nodes live on an intrusive LRU list,
 touched whenever traversed; when the budget is exceeded the least recently
 used node (with its - necessarily even older or equally old - subtree) is
 discarded.  The root is never evicted.
+
+Copy-on-write overlays (:class:`repro.tenancy.overlay.OverlayTree`) run
+this same parse: their nodes may shadow nodes of a shared, read-only base
+tree (``TreeNode.base``), and every step and query below reads the edges
+an overlay has not copied from there.
 """
 
 from __future__ import annotations
@@ -221,6 +226,11 @@ class PrefetchTree:
             if self._evict_lru() == 0:
                 break
 
+    def _materialize(self, parent: TreeNode, shadowed: TreeNode) -> TreeNode:
+        """Copy ``parent``'s base edge to ``shadowed`` into this tree
+        (copy-on-write overlays only: a private tree has no base nodes)."""
+        raise NotImplementedError
+
     # ------------------------------------------------------------ recording
 
     def record_access(self, block: Block) -> AccessOutcome:
@@ -235,6 +245,10 @@ class PrefetchTree:
         stats.accesses += 1
 
         child = cur.children.get(block)
+        if child is None and cur.base is not None:
+            shadowed = cur.base.children.get(block)
+            if shadowed is not None:
+                child = self._materialize(cur, shadowed)
         at_root = cur is self.root
         predictable = child is not None
         probability = child.weight / cur.weight if (predictable and cur.weight > 0) else 0.0
@@ -318,17 +332,31 @@ class PrefetchTree:
         lazily rebuilt ``heavy`` index so enumeration does not touch
         thousands of cold edges.  Rebuilds are amortised against weight
         doubling, and a node's child count never exceeds its weight.
+
+        A node that shadows a base node scans its merged child view; the
+        index of a frozen base node rebuilds identically for every overlay.
         """
-        children = node.children
         heavy = node.heavy
-        if heavy is None:
-            if len(children) <= HEAVY_ACTIVATION:
-                return children.items()
-        elif node.weight < node.heavy_rebuild_at:
+        if heavy is not None and node.weight < node.heavy_rebuild_at:
             return heavy.items()
+        base = node.base
+        if base is None:
+            children = node.children.items()
+            small = len(children) <= HEAVY_ACTIVATION
+        else:
+            children = node.child_items()
+            own, inherited = node.children, base.children
+            # Copied children sit in both maps; count them once only when
+            # the plain sum does not already prove the node small.
+            small = (
+                len(own) + len(inherited) <= HEAVY_ACTIVATION
+                or len(own.keys() | inherited.keys()) <= HEAVY_ACTIVATION
+            )
+        if heavy is None and small:
+            return children
         rebuilt = {
             b: c
-            for b, c in children.items()
+            for b, c in children
             if c.weight * HEAVY_CHILD_DIVISOR >= node.weight
         }
         node.heavy = rebuilt
@@ -356,15 +384,26 @@ class PrefetchTree:
 
     def is_predictable(self, block: Block) -> bool:
         """Would ``block`` be a predictable next access (Section 9.4)?"""
-        return block in self.current.children
+        cur = self.current
+        if block in cur.children:
+            return True
+        return cur.base is not None and block in cur.base.children
 
     def last_visited_child(self) -> Optional[Block]:
         """The current node's last visited child, if any (Section 9.6)."""
         return self.current.last_visited_child
 
     def iter_nodes(self) -> Iterator[TreeNode]:
-        """All non-root nodes, depth-first."""
-        return self.root.iter_descendants()
+        """All non-root nodes, depth-first.
+
+        Through base edges too: an overlay yields its copy where it owns
+        one and the base node otherwise.
+        """
+        stack = [child for _, child in self.root.child_items()]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(child for _, child in node.child_items())
 
     def path_probability(self, blocks: List[Block]) -> float:
         """Cumulative probability of following ``blocks`` from the current node.
@@ -376,6 +415,8 @@ class PrefetchTree:
         prob = 1.0
         for block in blocks:
             child = node.children.get(block)
+            if child is None and node.base is not None:
+                child = node.base.children.get(block)
             if child is None or node.weight <= 0:
                 return 0.0
             prob *= child.weight / node.weight
@@ -391,39 +432,82 @@ class PrefetchTree:
         """Model size in retained items; mirrors ``Predictor.memory_items``."""
         return self._node_count
 
-    def snapshot_state(self) -> Tuple[Dict[str, Any], List[Any]]:
-        """Serialize the tree to JSON-able ``(meta, items)``.
+    def _node_records(self) -> Tuple[Dict[int, int], List[Any], Dict[str, Any]]:
+        """Preorder records of the nodes the tree owns, plus the root's.
 
-        Items are node records ``[id, parent_id, block, weight,
-        last_visited_child, heavy_keys_or_null, heavy_rebuild_at]`` in
-        preorder, with sibling order equal to child-map insertion order —
-        the order every traversal in this module observes, so a restored
-        tree is behaviourally *identical* to the original, not merely
-        isomorphic.  The lazily built ``heavy`` index and its rebuild
-        threshold are captured verbatim for the same reason: letting the
-        restored tree re-derive them would change candidate enumeration
-        order relative to a run that never snapshotted.
+        Records are ``[id, parent_id, block, weight, last_visited_child,
+        heavy_keys_or_null, heavy_rebuild_at]``, siblings in child-map
+        insertion order — the order every traversal in this module
+        observes, so a restored tree is behaviourally *identical* to the
+        original, not merely isomorphic.  The lazily built ``heavy`` index
+        and its rebuild threshold are captured verbatim for the same
+        reason.  Returns ``(ids by id(node), records, root fields)``.
         """
-        ids: Dict[int, int] = {id(self.root): 0}
+        root = self.root
+        ids: Dict[int, int] = {id(root): 0}
         records: List[Any] = []
-        stack = list(reversed(list(self.root.children.values())))
-        next_id = 1
+        stack = list(reversed(root.children.values()))
         while stack:
             node = stack.pop()
-            nid = next_id
-            next_id += 1
-            ids[id(node)] = nid
-            assert node.parent is not None
+            nid = ids[id(node)] = len(records) + 1
             records.append([
                 nid,
                 ids[id(node.parent)],
                 node.block,
                 node.weight,
                 node.last_visited_child,
-                None if node.heavy is None else list(node.heavy.keys()),
+                None if node.heavy is None else list(node.heavy),
                 node.heavy_rebuild_at,
             ])
-            stack.extend(reversed(list(node.children.values())))
+            stack.extend(reversed(node.children.values()))
+        root_meta = {
+            "weight": root.weight,
+            "lvc": root.last_visited_child,
+            "heavy": None if root.heavy is None else list(root.heavy),
+            "rebuild_at": root.heavy_rebuild_at,
+        }
+        return ids, records, root_meta
+
+    def _read_node_records(
+        self, root_meta: Dict[str, Any], items: List[Any]
+    ) -> Dict[int, TreeNode]:
+        """Rebuild :meth:`_node_records` output under ``self.root``; a
+        record under a shadowing node shadows the base child of its block,
+        if there is one.  Returns the nodes by record id."""
+        root = self.root
+        root.weight = root_meta["weight"]
+        root.last_visited_child = root_meta["lvc"]
+        root.heavy_rebuild_at = root_meta["rebuild_at"]
+        nodes: Dict[int, TreeNode] = {0: root}
+        for nid, parent_id, block, weight, lvc, _heavy, rebuild_at in items:
+            parent = nodes[parent_id]
+            node = TreeNode(block=block, parent=parent)
+            node.weight = weight
+            node.last_visited_child = lvc
+            node.heavy_rebuild_at = rebuild_at
+            if parent.base is not None:
+                node.base = parent.base.children.get(block)
+                if node.base is not None:
+                    node.max_child_weight = node.base.max_child_weight
+            parent.children[block] = node
+            if weight > parent.max_child_weight:
+                parent.max_child_weight = weight
+            nodes[nid] = node
+        # Heavy indexes need the children maps complete, so a second pass.
+        for nid, _parent_id, _block, _weight, _lvc, heavy, _rebuild in items:
+            if heavy is not None:
+                nodes[nid].heavy = _resolve_heavy(nodes[nid], heavy)
+        root.heavy = (
+            None if root_meta["heavy"] is None
+            else _resolve_heavy(root, root_meta["heavy"])
+        )
+        return nodes
+
+    def snapshot_state(self) -> Tuple[Dict[str, Any], List[Any]]:
+        """Serialize the tree to JSON-able ``(meta, items)``: the node
+        records of :meth:`_node_records` plus budget, parse position, LRU
+        order and counters."""
+        ids, records, root_meta = self._node_records()
         lru: List[int] = []
         walker = self._lru_head.lru_next
         while walker is not self._lru_tail:
@@ -432,13 +516,7 @@ class PrefetchTree:
             walker = walker.lru_next
         meta = {
             "max_nodes": self.max_nodes,
-            "root": {
-                "weight": self.root.weight,
-                "lvc": self.root.last_visited_child,
-                "heavy": (None if self.root.heavy is None
-                          else list(self.root.heavy.keys())),
-                "rebuild_at": self.root.heavy_rebuild_at,
-            },
+            "root": root_meta,
             "current": ids[id(self.current)],
             "lru": lru,
             "stats": asdict(self.stats),
@@ -448,31 +526,8 @@ class PrefetchTree:
     def restore_state(self, meta: Dict[str, Any], items: List[Any]) -> None:
         """Rebuild the tree from :meth:`snapshot_state` output in place."""
         self.max_nodes = meta["max_nodes"]
-        root_meta = meta["root"]
         self.root = TreeNode(block=None, parent=None)
-        self.root.weight = root_meta["weight"]
-        self.root.last_visited_child = root_meta["lvc"]
-        self.root.heavy_rebuild_at = root_meta["rebuild_at"]
-        nodes: Dict[int, TreeNode] = {0: self.root}
-        for nid, parent_id, block, weight, lvc, _heavy, rebuild_at in items:
-            parent = nodes[parent_id]
-            node = TreeNode(block=block, parent=parent)
-            node.weight = weight
-            node.last_visited_child = lvc
-            node.heavy_rebuild_at = rebuild_at
-            parent.children[block] = node
-            if weight > parent.max_child_weight:
-                parent.max_child_weight = weight
-            nodes[nid] = node
-        # Heavy indexes need the children maps complete, so a second pass.
-        for nid, _parent_id, _block, _weight, _lvc, heavy, _rebuild in items:
-            if heavy is not None:
-                node = nodes[nid]
-                node.heavy = {b: node.children[b] for b in heavy}
-        if root_meta["heavy"] is not None:
-            self.root.heavy = {
-                b: self.root.children[b] for b in root_meta["heavy"]
-            }
+        nodes = self._read_node_records(meta["root"], items)
         self._node_count = len(items)
         self.current = nodes[meta["current"]]
         self.stats = TreeStats(**meta["stats"])
@@ -518,3 +573,10 @@ class PrefetchTree:
         assert on_list == self._node_count, (on_list, self._node_count)
         if self.max_nodes is not None:
             assert self._node_count <= self.max_nodes
+
+
+def _resolve_heavy(node: TreeNode, keys: List[Block]) -> Dict[Block, TreeNode]:
+    """A restored heavy index: ``keys`` looked up in the merged child view
+    (``KeyError`` on a key the node has no child for)."""
+    children = node.children if node.base is None else dict(node.child_items())
+    return {b: children[b] for b in keys}

@@ -256,7 +256,7 @@ class PrefetchService:
             )
 
             try:
-                tenant_spec = self.tenancy.admit(request.tenant)
+                tenant_spec = self.tenancy.admit(request.tenant, self.sessions)
             except UnknownTenantError as exc:
                 self.metrics.sessions_rejected += 1
                 return ErrorReply(request.id, protocol.E_BAD_REQUEST, str(exc))
@@ -532,31 +532,16 @@ class PrefetchService:
 
     # ------------------------------------------------------ memory budget
 
-    def _session_model_bytes(self, session: PrefetchSession) -> int:
-        """One session's *private* model bytes at the paper's per-node rate.
-
-        Overlay models are charged only their copy-on-write delta; the
-        shared base is charged once per tenant in
-        :meth:`accounted_model_bytes`.
-        """
-        from repro.core.tree import PAPER_NODE_BYTES
-
-        model = session.simulator.policy.model()
-        if model is None:
-            return 0
-        items = (
-            model.delta_items() if hasattr(model, "delta_items")
-            else model.memory_items()
-        )
-        return items * PAPER_NODE_BYTES
-
     def accounted_model_bytes(self) -> int:
-        """Total model bytes this worker is charged for right now."""
+        """Total model bytes this worker is charged for right now: shared
+        bases once, each session its private model bytes."""
+        from repro.tenancy.manager import TenancyManager
+
         total = (
             self.tenancy.base_bytes_total() if self.tenancy is not None else 0
         )
         for session in self.sessions.values():
-            total += self._session_model_bytes(session)
+            total += TenancyManager.session_model_bytes(session)
         return total
 
     def enforce_memory_budget(self, *, keep: Optional[str] = None) -> int:
@@ -569,6 +554,8 @@ class PrefetchService:
         budget = self.memory_budget_bytes
         if budget is None or self.checkpoint_dir is None:
             return 0
+        from repro.tenancy.manager import TenancyManager
+
         total = self.accounted_model_bytes()
         evictions = 0
         while total > budget:
@@ -580,7 +567,7 @@ class PrefetchService:
             for sid in self.sessions:
                 if sid == keep:
                     continue
-                freed = self._session_model_bytes(self.sessions[sid])
+                freed = TenancyManager.session_model_bytes(self.sessions[sid])
                 if freed > 0:
                     victim = sid
                     break

@@ -144,8 +144,14 @@ class TenancyManager:
 
     # ---------------------------------------------------------- admission
 
-    def admit(self, tenant: str) -> TenantSpec:
-        """Check worker-side quotas for one OPEN; raises on breach."""
+    def admit(
+        self, tenant: str, sessions: Optional[Dict[str, Any]] = None
+    ) -> TenantSpec:
+        """Check worker-side quotas for one OPEN; raises on breach.
+
+        ``sessions`` is the server's live-session table: with it the byte
+        quota counts the tenant's session deltas, not only its base.
+        """
         spec = self.spec(tenant)
         state = self._tenants[tenant]
         if (
@@ -158,7 +164,7 @@ class TenancyManager:
                 spec.retry_after_s,
             )
         if spec.max_model_bytes is not None and state.loaded:
-            used = self.tenant_model_bytes(tenant)
+            used = self.tenant_model_bytes(tenant, sessions)
             if used >= spec.max_model_bytes:
                 raise TenantQuotaError(
                     tenant,
@@ -221,17 +227,21 @@ class TenancyManager:
 
     # --------------------------------------------------------- accounting
 
-    def _session_items(self, session) -> int:
+    @staticmethod
+    def session_model_bytes(session) -> int:
+        """One session's accounted bytes: its *private* model footprint.
+
+        An overlay is charged only its copy-on-write delta (the shared
+        base is charged once per tenant); any other model its whole size.
+        """
         model = session.simulator.policy.model()
         if model is None:
             return 0
-        if isinstance(model, OverlayTree):
-            return model.delta_items()
-        return model.memory_items()
-
-    def session_model_bytes(self, session) -> int:
-        """One session's accounted bytes: its *private* model footprint."""
-        return self._session_items(session) * PAPER_NODE_BYTES
+        items = (
+            model.delta_items() if isinstance(model, OverlayTree)
+            else model.memory_items()
+        )
+        return items * PAPER_NODE_BYTES
 
     def base_bytes_total(self) -> int:
         """Accounted bytes of every *shared* base loaded on this worker."""

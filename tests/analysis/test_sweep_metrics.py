@@ -1,90 +1,9 @@
-"""Unit tests for sweeps, cross-run metrics, and the memoised runner."""
+"""Unit tests for cross-run metrics and the memoised runner."""
 
 import pytest
 
-from repro.analysis.metrics import (
-    additivity_gap,
-    max_miss_reduction,
-    miss_reduction,
-    reduction_series,
-)
+from repro.analysis.metrics import miss_reduction
 from repro.analysis.runner import ExperimentContext
-from repro.analysis.sweep import (
-    cache_size_sweep,
-    parameter_sweep,
-    tcpu_sweep,
-    tree_nodes_sweep,
-)
-from repro.params import PAPER_PARAMS
-from repro.policies.registry import make_policy
-from repro.traces.base import Trace
-
-
-def tiny_trace():
-    pattern = list(range(60))
-    return Trace(name="tiny", blocks=pattern * 10)
-
-
-class TestSweeps:
-    def test_cache_size_sweep(self):
-        res = cache_size_sweep(
-            PAPER_PARAMS,
-            lambda: make_policy("no-prefetch"),
-            tiny_trace(),
-            cache_sizes=(8, 16, 32),
-        )
-        assert res.x_values == [8, 16, 32]
-        misses = res.metric("miss_rate")
-        assert len(misses) == 3
-        # LRU miss rate is non-increasing in cache size for this workload.
-        assert misses[0] >= misses[-1]
-
-    def test_metric_from_extra(self):
-        res = cache_size_sweep(
-            PAPER_PARAMS, lambda: make_policy("tree"), tiny_trace(),
-            cache_sizes=(8,),
-        )
-        assert res.metric("tree_nodes")[0] > 0
-        with pytest.raises(KeyError):
-            res.metric("not_a_metric")
-
-    def test_at(self):
-        res = cache_size_sweep(
-            PAPER_PARAMS, lambda: make_policy("no-prefetch"), tiny_trace(),
-            cache_sizes=(8, 16),
-        )
-        assert res.at(16) is res.runs[1]
-
-    def test_tcpu_sweep(self):
-        res = tcpu_sweep(
-            PAPER_PARAMS, lambda: make_policy("tree"), tiny_trace(),
-            cache_size=16, tcpu_values=(20.0, 640.0),
-        )
-        assert res.x_values == [20.0, 640.0]
-        assert all(r.accesses == 600 for r in res.runs)
-
-    def test_tree_nodes_sweep(self):
-        res = tree_nodes_sweep(
-            PAPER_PARAMS,
-            lambda budget: make_policy("tree", max_tree_nodes=budget),
-            tiny_trace(),
-            cache_size=16,
-            node_budgets=(16, None),
-        )
-        assert res.runs[0].extra["tree_nodes"] <= 16
-        assert res.runs[1].extra["tree_nodes"] > 16
-
-    def test_parameter_sweep(self):
-        res = parameter_sweep(
-            PAPER_PARAMS,
-            lambda t: make_policy("tree-threshold", threshold=t),
-            tiny_trace(),
-            values=(0.05, 0.5),
-            cache_size=16,
-            x_name="threshold",
-        )
-        assert res.x_name == "threshold"
-        assert [r.extra["threshold"] for r in res.runs] == [0.05, 0.5]
 
 
 class TestMetrics:
@@ -92,35 +11,6 @@ class TestMetrics:
         assert miss_reduction(50.0, 25.0) == pytest.approx(50.0)
         assert miss_reduction(0.0, 10.0) == 0.0
         assert miss_reduction(40.0, 50.0) == pytest.approx(-25.0)
-
-    def _sweeps(self):
-        trace = tiny_trace()
-        sizes = (8, 32)
-        mk = lambda name: cache_size_sweep(
-            PAPER_PARAMS, lambda: make_policy(name), trace, cache_sizes=sizes
-        )
-        return mk("no-prefetch"), mk("tree"), mk("next-limit"), mk("tree-next-limit")
-
-    def test_max_miss_reduction(self):
-        base, tree, nl, _ = self._sweeps()
-        red = max_miss_reduction(base, tree)
-        assert -100.0 <= red <= 100.0
-
-    def test_reduction_series_shape(self):
-        base, tree, _, _ = self._sweeps()
-        series = reduction_series(base, tree)
-        assert len(series["reduction_pct"]) == 2
-
-    def test_additivity_gap_length(self):
-        base, tree, nl, both = self._sweeps()
-        gaps = additivity_gap(base, tree, nl, both)
-        assert len(gaps) == 2
-
-    def test_mismatched_sweeps_rejected(self):
-        base, tree, _, _ = self._sweeps()
-        tree.x_values = [1, 2]
-        with pytest.raises(ValueError):
-            max_miss_reduction(base, tree)
 
 
 class TestRunner:

@@ -7,9 +7,13 @@ serving layer swap private models for copy-on-write overlays without a
 behaviour flag.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.candidates import best_candidates
 from repro.core.tree import PrefetchTree
@@ -113,6 +117,72 @@ class TestTreeParity:
         base.record_all(lcg_trace(500))
         with pytest.raises(OverlayError, match="unbudgeted"):
             OverlayTree(base)
+
+
+def assert_same_view(overlay, priv, path):
+    assert (best_candidates(overlay, max_depth=4)
+            == best_candidates(priv, max_depth=4))
+    assert overlay.next_probabilities() == priv.next_probabilities()
+    assert overlay.path_probability(path) == priv.path_probability(path)
+
+
+@given(
+    base_size=st.integers(min_value=0, max_value=1500),
+    universe=st.integers(min_value=2, max_value=90),
+    seed=st.integers(min_value=0, max_value=2 ** 16),
+    tail_size=st.integers(min_value=1, max_value=300),
+    cut_at=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_restored_overlay_tracks_private_copy(base_size, universe, seed,
+                                              tail_size, cut_at):
+    """An overlay snapshotted at any point and restored onto a fresh
+    overlay keeps answering exactly like a restored private copy."""
+    rng = random.Random(seed)
+    base = PrefetchTree()
+    base.record_all(rng.randrange(universe) for _ in range(base_size))
+    # The tail's wider universe holds blocks the base never saw.
+    tail = [rng.randrange(universe + 30) for _ in range(tail_size)]
+    cut = min(int(cut_at * tail_size), tail_size - 1)
+    ref = {"tenant": "t", "model": "m@1"}
+    priv = private_copy(base)
+    unbroken = OverlayTree(base, base_ref=ref)
+    overlay = OverlayTree(base, base_ref=ref)
+    for index, block in enumerate(tail):
+        if index == cut:
+            meta, items = overlay.snapshot_state()
+            overlay = OverlayTree(base, base_ref=ref)
+            overlay.restore_state(meta, items)
+        want = priv.record_access(block)
+        assert overlay.record_access(block) == want
+        assert unbroken.record_access(block) == want
+        path = tail[index + 1:index + 4]
+        assert_same_view(overlay, priv, path)
+        assert_same_view(unbroken, priv, path)
+    overlay.check_invariants()
+    assert overlay.snapshot_state() == unbroken.snapshot_state()
+    assert overlay.node_count == priv.node_count
+
+
+#: SHA-256 of the ``tree-delta`` snapshot in
+#: :func:`test_delta_snapshot_matches_pinned_digest`, generated before the
+#: overlay shared its parse step and snapshot records with
+#: :class:`PrefetchTree`.  Holds the delta format byte for byte.
+PINNED_DELTA = (
+    "ba7614d4667654d258c5571665c10f9123db223df564412c931a746d12ac0d4a"
+)
+
+
+def test_delta_snapshot_matches_pinned_digest():
+    overlay = OverlayTree(trained_base(), base_ref={"tenant": "t",
+                                                    "model": "m@1"})
+    for index, block in enumerate(lcg_trace(1500, seed=61, universe=90)):
+        overlay.record_access(block)
+        if index % 50 == 0:
+            best_candidates(overlay, max_depth=4)
+    blob = json.dumps(overlay.snapshot_state(), sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(blob.encode("ascii")).hexdigest() == PINNED_DELTA
 
 
 class TestDeltaSnapshot:

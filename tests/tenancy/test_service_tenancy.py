@@ -121,6 +121,32 @@ class TestAdmission:
         assert both.error == protocol.E_BAD_REQUEST
         assert "mutually exclusive" in both.message
 
+    def test_byte_quota_counts_session_deltas(self, store, tmp_path):
+        # Room above the shared base for a few delta nodes only: one
+        # session's private growth must use up the tenant's byte quota.
+        base_bytes = trained_base().memory_items() * PAPER_NODE_BYTES
+        quota = base_bytes + 5 * PAPER_NODE_BYTES
+        service = make_service(store, tmp_path, tenants={
+            "acme": {"model": "base", "max_model_bytes": quota,
+                     "retry_after_s": 0.75},
+        })
+        owned = set()
+        first = open_tenant(service, owned, "acme", request_id=1)
+        assert isinstance(first, OpenReply)
+        for seq, block in enumerate(lcg_trace(60, seed=8, universe=90)):
+            service.handle(
+                ObserveRequest(id=10 + seq, session=first.session,
+                               block=block, seq=seq),
+                owned,
+            )
+        assert service.accounted_model_bytes() >= quota
+        second = open_tenant(service, owned, "acme", request_id=2)
+        assert isinstance(second, ErrorReply)
+        assert second.error == protocol.E_QUOTA
+        assert second.retry_after_s == 0.75
+        assert "model-byte quota" in second.message
+        assert service.metrics.per_tenant["acme"]["sessions_rejected"] == 1
+
     def test_spec_policy_wins_only_over_the_default(self, store, tmp_path):
         service = make_service(store, tmp_path)
         owned = set()
