@@ -71,8 +71,6 @@ class BufferCache:
         total_buffers: int,
         *,
         prefetch_capacity: Optional[int] = None,
-        profiler_depth: Optional[int] = None,
-        profiler_decay: float = 0.9995,
         marginal_band: int = 8,
         refetch_distance: Optional[int] = None,
     ) -> None:
@@ -91,9 +89,8 @@ class BufferCache:
         self.prefetch = PrefetchCache(
             params, capacity=prefetch_capacity, refetch_distance=refetch_distance
         )
-        depth = profiler_depth if profiler_depth is not None else 2 * total_buffers
-        depth = max(depth, total_buffers + 1)
-        self.profiler = StackDistanceProfiler(max_depth=depth, decay=profiler_decay)
+        # Twice the pool resolves the marginal rate at any demand size.
+        self.profiler = StackDistanceProfiler(max_depth=2 * total_buffers)
         self._marginal_band = marginal_band
         self.forced_prefetch_evictions = 0
 

@@ -24,8 +24,7 @@ Two estimates are exposed:
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Hashable, List, Optional
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 Block = Hashable
 
@@ -105,16 +104,20 @@ class StackDistanceProfiler:
 
     # ------------------------------------------------------------ internal
 
+    def _place(self, live: Iterable[Tuple[int, Block]]) -> None:
+        """Reset the slot bookkeeping to exactly the ``(slot, block)`` pairs."""
+        self._pos = {}
+        self._order = [None] * self._slots
+        self._fenwick = _Fenwick(self._slots)
+        for slot, block in live:
+            self._pos[block] = slot
+            self._order[slot] = block
+            self._fenwick.add(slot, 1)
+
     def _compact(self) -> None:
         """Rebuild the Fenwick tree once the slot counter runs off the end."""
         live = sorted(self._pos.items(), key=lambda item: item[1])
-        self._fenwick = _Fenwick(self._slots)
-        self._order = [None] * self._slots
-        self._pos = {}
-        for new_slot, (block, _) in enumerate(live):
-            self._pos[block] = new_slot
-            self._order[new_slot] = block
-            self._fenwick.add(new_slot, 1)
+        self._place(enumerate(block for block, _ in live))
         self._next_slot = len(live)
         self._scan_slot = 0
 
@@ -143,6 +146,41 @@ class StackDistanceProfiler:
             self._recent[i] *= inv
         self._recent_weight *= inv
         self._scale = 1.0
+
+    # -------------------------------------------------------------- state
+
+    def state(self) -> Dict[str, Any]:
+        """JSON-ready form: the live ``[slot, block]`` pairs oldest first,
+        the cursors, both histograms, and the decay state.
+
+        Floats are carried verbatim, and the lazily applied decay scale is
+        written as it stands, not renormalised, so a restored profiler
+        renormalises on the same reference a continuous one would.
+        """
+        live = sorted(self._pos.items(), key=lambda item: item[1])
+        return {
+            "live": [[slot, block] for block, slot in live],
+            "next_slot": self._next_slot,
+            "scan_slot": self._scan_slot,
+            "hist": list(self._hist),
+            "recent": list(self._recent),
+            "recent_weight": self._recent_weight,
+            "scale": self._scale,
+            "references": self.references,
+            "cold_references": self.cold_references,
+        }
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Inverse of :meth:`state`; rebuilds the Fenwick tree of live slots."""
+        self._place(state["live"])
+        self._next_slot = state["next_slot"]
+        self._scan_slot = state["scan_slot"]
+        self._hist = list(state["hist"])
+        self._recent = list(state["recent"])
+        self._recent_weight = state["recent_weight"]
+        self._scale = state["scale"]
+        self.references = state["references"]
+        self.cold_references = state["cold_references"]
 
     # ------------------------------------------------------------- record
 

@@ -8,7 +8,7 @@ metadata; for the plain demand cache the block id itself is all that matters.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Hashable, Iterator, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterator, Optional, Tuple
 
 Block = Hashable
 
@@ -138,6 +138,27 @@ class LRUCache:
             victims.append(self._entries.popitem(last=False))
             self.evictions += 1
         return victims
+
+    # -------------------------------------------------------------- state
+
+    def state(self) -> Dict[str, Any]:
+        """JSON-ready form: the blocks from LRU to MRU, plus the counters.
+
+        Per-block values are not carried; the demand cache stores none.
+        """
+        return {
+            "blocks": list(self._entries),
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+        }
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Inverse of :meth:`state`; keeps the capacity."""
+        self._entries = OrderedDict((b, None) for b in state["blocks"])
+        self.hits = state["hits"]
+        self.misses = state["misses"]
+        self.evictions = state["evictions"]
 
     # ------------------------------------------------------------- metrics
 

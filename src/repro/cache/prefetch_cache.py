@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.core import costbenefit
 from repro.params import SystemParams
@@ -244,6 +244,47 @@ class PrefetchCache:
             self._rebuild_cheap(current_period, s)
         cost, block = self._cheap[0]
         return self._entries[block], cost
+
+    # -------------------------------------------------------------- state
+
+    def state(self) -> Dict[str, Any]:
+        """JSON-ready form: the counters, plus one ``entries`` row per
+        resident block in insertion order, which iteration (and so the
+        forced-eviction tie-break) observes."""
+        return {
+            "hits": self.hits,
+            "inserted": self.inserted,
+            "evicted_unreferenced": self.evicted_unreferenced,
+            "entries": [
+                [e.block, e.probability, e.depth, e.issue_period,
+                 e.arrival_time, e.tag]
+                for e in self._entries.values()
+            ],
+        }
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Inverse of :meth:`state`; keeps the capacity.
+
+        The cheap list is dropped, not carried: the next
+        :meth:`min_cost_entry` rebuilds it, exactly as a continuous run
+        does when its period moves on.
+        """
+        self._entries = {}
+        self._tag_counts = {}
+        for block, probability, depth, issue_period, arrival, tag in (
+            state["entries"]
+        ):
+            self._entries[block] = PrefetchEntry(
+                block, probability, depth, issue_period, arrival, tag
+            )
+            self._tag_counts[tag] = self._tag_counts.get(tag, 0) + 1
+        self.hits = state["hits"]
+        self.inserted = state["inserted"]
+        self.evicted_unreferenced = state["evicted_unreferenced"]
+        self._cheap = []
+        self._cheap_key = None
+        self._cheap_terms = (0, 0.0)
+        self._cheap_complete = False
 
     # ----------------------------------------------------------- mutations
 

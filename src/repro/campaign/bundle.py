@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.campaign.spec import ScenarioSpec, scenario_hash
-from repro.store.codec import canonical_json
+from repro.store.codec import atomic_write, canonical_json
 
 #: Bundle format marker, independent of the scenario schema.
 BUNDLE_FORMAT = 1
@@ -107,13 +106,8 @@ def bundle_dir_name(scenario: ScenarioSpec, workers: int) -> str:
 
 def _write_json(path: Path, doc: Dict[str, Any]) -> None:
     """Atomic, newline-terminated, key-sorted JSON (diff-friendly)."""
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    atomic_write(path, text.encode("utf-8"))
 
 
 def write_bundle(

@@ -418,10 +418,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from repro.service.session import PrefetchSession, SessionError
-    from repro.store import (
-        ModelStore, model_snapshot, snapshot_session, write_snapshot,
+    from repro.service.session import (
+        PrefetchSession, SessionError, snapshot_session,
     )
+    from repro.store import ModelStore, model_snapshot, write_snapshot
     from repro.store.codec import SnapshotError
 
     if (args.out is None) == (args.store is None):

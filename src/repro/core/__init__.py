@@ -3,11 +3,9 @@
 from repro.core.candidates import Candidate, best_candidates, iter_candidates
 from repro.core.costbenefit import (
     INFINITE_COST,
-    Decision,
     benefit,
     cost_demand_eviction,
     cost_prefetch_eviction,
-    decide,
     delta_t_pf,
     prefetch_horizon,
     prefetch_overhead,
@@ -15,9 +13,7 @@ from repro.core.costbenefit import (
 )
 from repro.core.estimators import (
     EwmaRate,
-    PrefetchHitRatioEstimator,
     PrefetchRateEstimator,
-    WindowedRate,
 )
 from repro.core.node import TreeNode
 from repro.core.tree import (
@@ -31,22 +27,18 @@ from repro.core.tree import (
 __all__ = [
     "AccessOutcome",
     "Candidate",
-    "Decision",
     "EwmaRate",
     "INFINITE_COST",
     "PAPER_NODE_BYTES",
     "PAPER_NODE_BYTES_COMPACT",
-    "PrefetchHitRatioEstimator",
     "PrefetchRateEstimator",
     "PrefetchTree",
     "TreeNode",
     "TreeStats",
-    "WindowedRate",
     "benefit",
     "best_candidates",
     "cost_demand_eviction",
     "cost_prefetch_eviction",
-    "decide",
     "delta_t_pf",
     "iter_candidates",
     "prefetch_horizon",

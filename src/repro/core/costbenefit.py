@@ -21,12 +21,15 @@ Summary of the model:
 * ``prefetch_horizon(...)`` -- Patterson's distance beyond which a prefetch
   is fully overlapped (``t_stall == 0``); used for the re-prefetch distance
   ``x`` in Eq. 11, which the paper leaves open (see DESIGN.md Section 5).
+
+Section 7's rule itself -- prefetch while ``B(b) - T_oh`` is positive and
+covers the cheapest buffer's eviction cost -- is applied by the engine, in
+:meth:`repro.sim.engine.PrefetchContext.try_issue`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.params import SystemParams
 
@@ -144,7 +147,8 @@ def cost_demand_eviction(params: SystemParams, marginal_hit_rate: float) -> floa
 
     ``C_dc(n) = (H(n) - H(n-1)) * (T_driver + T_disk)``; the marginal hit
     rate is estimated online from LRU stack distances
-    (:class:`repro.core.estimators.MarginalHitRateEstimator`).
+    (:meth:`repro.cache.ghost.StackDistanceProfiler.recent_marginal_rate`,
+    read by :meth:`repro.cache.buffer_cache.BufferCache.demand_eviction_cost`).
     """
     if marginal_hit_rate < 0.0:
         raise ValueError(
@@ -165,40 +169,6 @@ def min_profitable_probability(params: SystemParams, s: float) -> float:
     if saved <= 0.0:
         return 1.0 + 1e-9
     return params.t_driver / (saved + params.t_driver)
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Outcome of one cost-benefit comparison (Section 7, step 3)."""
-
-    prefetch: bool
-    benefit: float
-    overhead: float
-    cost: float
-
-    @property
-    def net_benefit(self) -> float:
-        return self.benefit - self.overhead
-
-
-def decide(
-    params: SystemParams,
-    *,
-    p_b: float,
-    p_x: float,
-    depth: int,
-    s: float,
-    eviction_cost: float,
-) -> Decision:
-    """Apply Section 7's rule: prefetch iff ``B(b) - T_oh >= C``."""
-    b = benefit(params, p_b, p_x, depth, s)
-    oh = prefetch_overhead(params, p_b, p_x)
-    return Decision(
-        prefetch=(b - oh >= eviction_cost),
-        benefit=b,
-        overhead=oh,
-        cost=eviction_cost,
-    )
 
 
 def _validate_probs(p_b: float, p_x: float) -> None:

@@ -1,22 +1,23 @@
-"""Online estimators for the dynamically calculated model inputs.
+"""The online estimator of ``s``, a dynamically calculated model input.
 
 Figure 4 lists the dynamic inputs of the prefetching scheme:
 
 * ``s`` -- the average number of prefetches issued per access period.  Both
   the stall model (Eq. 3/6) and the prefetch horizon depend on it, and it in
   turn depends on how much the scheme decides to prefetch, so it is tracked
-  as an exponentially weighted moving average over access periods.
+  here as an exponentially weighted moving average over access periods.
 * ``h`` -- the prefetch hit ratio, the fraction of prefetched blocks that are
-  eventually referenced.  The paper reports it (Figures 9 and 12) and notes
-  that ``s`` and ``h`` trade off against each other.
-* ``H(n) - H(n-1)`` -- the marginal LRU hit rate used by Eq. 13; estimated by
-  the stack-distance profiler in :mod:`repro.cache.ghost` and smoothed here.
+  eventually referenced.  The paper only reports it (Figures 9 and 12); it
+  is :attr:`repro.sim.stats.SimulationStats.prefetch_cache_hit_rate`.
+* ``H(n) - H(n-1)`` -- the marginal LRU hit rate used by Eq. 13; it is
+  :meth:`repro.cache.ghost.StackDistanceProfiler.recent_marginal_rate`,
+  read by :meth:`repro.cache.buffer_cache.BufferCache.demand_eviction_cost`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from typing import Any, Dict
 
 
 @dataclass
@@ -69,6 +70,26 @@ class PrefetchRateEstimator:
         self._total_prefetches += prefetches_issued
         self._periods += 1
 
+    def state(self) -> Dict[str, Any]:
+        """JSON-ready form: the EWMA and the lifetime totals, verbatim."""
+        ewma = self._ewma
+        return {
+            "alpha": ewma.alpha,
+            "initial": ewma.initial,
+            "value": ewma.value,
+            "observations": ewma.observations,
+            "total_prefetches": self._total_prefetches,
+            "periods": self._periods,
+        }
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Inverse of :meth:`state`."""
+        self._ewma = EwmaRate(alpha=state["alpha"], initial=state["initial"])
+        self._ewma.value = state["value"]
+        self._ewma.observations = state["observations"]
+        self._total_prefetches = state["total_prefetches"]
+        self._periods = state["periods"]
+
     @property
     def s(self) -> float:
         """Smoothed prefetches-per-period, the ``s`` of Eqs. 3 and 6."""
@@ -84,67 +105,3 @@ class PrefetchRateEstimator:
     @property
     def periods(self) -> int:
         return self._periods
-
-
-class PrefetchHitRatioEstimator:
-    """Tracks ``h``, the fraction of prefetched blocks that get referenced.
-
-    A prefetched block resolves either as a *hit* (referenced while still in
-    the prefetch cache) or a *miss* (evicted unreferenced, or still resident
-    at end of run).  The ratio over resolved blocks is the paper's prefetch
-    cache hit rate (Figures 9 and 12).
-    """
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-    def record_hit(self) -> None:
-        self.hits += 1
-
-    def record_miss(self) -> None:
-        self.misses += 1
-
-    @property
-    def resolved(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def h(self) -> float:
-        """Hit ratio over resolved prefetches; 0.0 before any resolve."""
-        if self.resolved == 0:
-            return 0.0
-        return self.hits / self.resolved
-
-
-class WindowedRate(object):
-    """Fraction of true events over a sliding window of observations.
-
-    Used for diagnostics where a recent-history rate is more informative
-    than a lifetime one (e.g. recent predictability in reports).
-    """
-
-    def __init__(self, window: int = 4096) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window!r}")
-        self._window = window
-        self._events: deque = deque(maxlen=window)
-        self._true_count = 0
-
-    def observe(self, flag: bool) -> None:
-        if len(self._events) == self._events.maxlen:
-            oldest = self._events[0]
-            if oldest:
-                self._true_count -= 1
-        self._events.append(bool(flag))
-        if flag:
-            self._true_count += 1
-
-    @property
-    def rate(self) -> float:
-        if not self._events:
-            return 0.0
-        return self._true_count / len(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)

@@ -7,7 +7,8 @@ ahead of demand right now?*  This package turns the predictor +
 cost-benefit core into exactly that — a long-lived advisory daemon:
 
 * :mod:`~repro.service.session`  — :class:`PrefetchSession`, the per-client
-  state machine (``observe(block) -> PrefetchAdvice``);
+  state machine (``observe(block) -> PrefetchAdvice``), and the
+  session snapshots that resume it decision-identically;
 * :mod:`~repro.service.protocol` — versioned newline-delimited-JSON wire
   schema (OPEN / OBSERVE / STATS / CLOSE);
 * :mod:`~repro.service.server`   — asyncio TCP server multiplexing many

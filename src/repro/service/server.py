@@ -26,10 +26,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> session)
+if TYPE_CHECKING:  # pragma: no cover - tracing and tenancy load lazily
     from repro.obs.trace import Tracer
-    from repro.store.codec import Snapshot
-    from repro.store.registry import ModelStore
     from repro.tenancy.manager import TenancyManager
 
 from repro.params import PAPER_PARAMS, SystemParams
@@ -60,7 +58,17 @@ from repro.service.session import (
     ModelRestoreError,
     PrefetchSession,
     SessionError,
+    restore_session,
+    snapshot_session,
 )
+from repro.store.codec import (
+    KIND_SESSION,
+    Snapshot,
+    SnapshotError,
+    read_snapshot,
+    write_snapshot,
+)
+from repro.store.registry import ModelStore, ModelStoreError
 
 #: SystemParams fields an OPEN request may override.
 _PARAM_FIELDS = frozenset({"t_hit", "t_driver", "t_disk", "t_cpu", "block_size"})
@@ -99,7 +107,7 @@ class PrefetchService:
         default_params: Optional[SystemParams] = None,
         limits: Optional[ServiceLimits] = None,
         metrics: Optional[ServiceMetrics] = None,
-        store: Optional["ModelStore"] = None,
+        store: Optional[ModelStore] = None,
         default_model: Optional[str] = None,
         checkpoint_dir: Optional[str] = None,
         identity: Optional[str] = None,
@@ -146,7 +154,11 @@ class PrefetchService:
         #: ``self.sessions`` under sampling).
         self._traces: Dict[str, str] = {}
         self.sessions: "OrderedDict[str, PrefetchSession]" = OrderedDict()
-        self.detached: "OrderedDict[str, Snapshot]" = OrderedDict()
+        #: Sessions whose connection vanished without CLOSE: id ->
+        #: (snapshot, tenant or None), LRU-bounded.
+        self.detached: "OrderedDict[str, Tuple[Snapshot, Optional[str]]]" = (
+            OrderedDict()
+        )
         #: Sessions evicted to disk under memory pressure: id -> tenant (or
         #: None), consulted for transparent resurrection.
         self.evicted: Dict[str, Optional[str]] = {}
@@ -387,8 +399,6 @@ class PrefetchService:
         observation the restored state is at, so it can replay the tail of
         its journal before continuing.
         """
-        from repro.store.codec import SnapshotError, read_snapshot
-
         resume_id = request.resume
         if not protocol.is_safe_id(resume_id):
             # The id becomes a checkpoint-dir path component below; reject
@@ -397,7 +407,7 @@ class PrefetchService:
                 request.id, protocol.E_BAD_REQUEST,
                 f"unusable resume id {resume_id!r}",
             )
-        snapshot = self.detached.pop(resume_id, None)
+        snapshot, tenant = self.detached.pop(resume_id, (None, None))
         if snapshot is None and self.checkpoint_dir is not None:
             path = os.path.join(self.checkpoint_dir, f"{resume_id}.snap")
             if os.path.exists(path):
@@ -413,26 +423,21 @@ class PrefetchService:
                 request.id, protocol.E_UNKNOWN_SESSION,
                 f"no detached session or checkpoint for {resume_id!r}",
             )
-        from repro.store.session_state import restore_session
-
         try:
-            session = restore_session(
-                snapshot,
-                max_observations=self.limits.max_observations_per_session,
-                model_factory=(
-                    self.tenancy.model_factory
-                    if self.tenancy is not None else None
-                ),
-            )
+            session = self._restore(snapshot)
         except SnapshotError as exc:
             return ErrorReply(
                 request.id, protocol.E_SESSION_ERROR,
                 f"cannot restore {resume_id!r}: {exc}",
             )
-        # A budget-evicted session keeps its tenant binding across the
-        # gap; the resume supersedes the eviction record even when the
-        # new session gets a fresh id.
-        tenant = request.tenant or self.evicted.pop(resume_id, None)
+        # A detached or budget-evicted session keeps its tenant binding
+        # across the gap, and a checkpointed overlay names its tenant; the
+        # resume supersedes the eviction record even when the new session
+        # gets a fresh id.
+        evicted_tenant = self.evicted.pop(resume_id, None)
+        tenant = request.tenant or tenant or evicted_tenant
+        if tenant is None and self.tenancy is not None:
+            tenant = self.tenancy.tenant_of_model(session)
         self.metrics.sessions_resumed += 1
         return self._install_session(
             request, session, owned, resumed=True, tenant=tenant
@@ -451,11 +456,6 @@ class PrefetchService:
         a ``model``-kind snapshot warm-starts the requested policy's model
         while cache and cost state begin cold.
         """
-        # Imported here, not at module top: repro.store serializes sessions,
-        # so it imports repro.service and would cycle back into this module.
-        from repro.store.codec import KIND_SESSION, SnapshotError
-        from repro.store.session_state import restore_session
-
         if self.store is None:
             raise SessionError(
                 f"cannot open from model {model_spec!r}: server has no "
@@ -500,8 +500,6 @@ class PrefetchService:
         degrades the session (like a corrupt named model); a config-level
         mismatch (non-tree base, no store) rejects the OPEN.
         """
-        from repro.store.codec import SnapshotError
-        from repro.store.registry import ModelStoreError
         from repro.tenancy.config import TenancyConfigError
 
         policy_name = request.policy
@@ -586,19 +584,9 @@ class PrefetchService:
         ``self.evicted`` and the next request touching it resurrects it
         from the checkpoint transparently (see :meth:`_live_session`).
         """
-        from repro.store.codec import SnapshotError, write_snapshot
-        from repro.store.session_state import snapshot_session
-
         session = self.sessions[session_id]
         try:
-            snapshot = snapshot_session(
-                session,
-                provenance={
-                    "session": session_id,
-                    "period": session.observations,
-                    "evicted": True,
-                },
-            )
+            snapshot = self._snapshot(session_id, session, evicted=True)
             os.makedirs(self.checkpoint_dir, exist_ok=True)
             write_snapshot(
                 snapshot,
@@ -626,20 +614,9 @@ class PrefetchService:
             return session
         if session_id not in self.evicted or self.checkpoint_dir is None:
             return None
-        from repro.store.codec import SnapshotError, read_snapshot
-        from repro.store.session_state import restore_session
-
         path = os.path.join(self.checkpoint_dir, f"{session_id}.snap")
         try:
-            snapshot = read_snapshot(path)
-            session = restore_session(
-                snapshot,
-                max_observations=self.limits.max_observations_per_session,
-                model_factory=(
-                    self.tenancy.model_factory
-                    if self.tenancy is not None else None
-                ),
-            )
+            session = self._restore(read_snapshot(path))
         except (OSError, SnapshotError):
             # Leave the eviction record: the fault may be transient, and
             # the client can still OPEN resume=<id> explicitly.
@@ -831,33 +808,44 @@ class PrefetchService:
 
     # --------------------------------------------------------- checkpoints
 
-    def snapshot_live_sessions(self) -> List[Tuple[str, "Snapshot"]]:
+    def _snapshot(
+        self, session_id: str, session: PrefetchSession, **flags: bool
+    ) -> Snapshot:
+        """Snapshot ``session``; the provenance names it and its period."""
+        return snapshot_session(session, provenance={
+            "session": session_id, "period": session.observations, **flags,
+        })
+
+    def _restore(self, snapshot: Snapshot) -> PrefetchSession:
+        """Restore a detached, evicted or checkpointed session, rebinding
+        a tenant overlay to its shared base."""
+        return restore_session(
+            snapshot,
+            max_observations=self.limits.max_observations_per_session,
+            model_factory=(
+                self.tenancy.model_factory if self.tenancy is not None
+                else None
+            ),
+        )
+
+    def snapshot_live_sessions(self) -> List[Tuple[str, Snapshot]]:
         """Snapshot every live session *in memory* (no disk I/O).
 
         Runs on the event loop thread so each snapshot is internally
         consistent; the returned list can then be written out off-loop via
         :meth:`write_checkpoints` without blocking request handling.
         """
-        from repro.store.codec import SnapshotError
-        from repro.store.session_state import snapshot_session
-
-        snaps: List[Tuple[str, "Snapshot"]] = []
+        snaps: List[Tuple[str, Snapshot]] = []
         for session_id, session in list(self.sessions.items()):
             try:
-                snapshot = snapshot_session(
-                    session,
-                    provenance={
-                        "session": session_id,
-                        "period": session.observations,
-                    },
-                )
+                snapshot = self._snapshot(session_id, session)
             except SnapshotError:
                 continue  # closed under us between list() and here
             snaps.append((session_id, snapshot))
         return snaps
 
     def write_checkpoints(
-        self, snaps: List[Tuple[str, "Snapshot"]], directory: str
+        self, snaps: List[Tuple[str, Snapshot]], directory: str
     ) -> int:
         """Write pre-taken snapshots to ``directory/<id>.snap``; returns count.
 
@@ -868,8 +856,6 @@ class PrefetchService:
         Safe to call from a worker thread: it touches only its arguments
         and the metrics counter.
         """
-        from repro.store.codec import write_snapshot
-
         directory = os.fspath(directory)
         os.makedirs(directory, exist_ok=True)
         written = 0
@@ -899,9 +885,6 @@ class PrefetchService:
         and ``OPEN resume=<id>`` decision-identically instead of replaying
         its whole journal.
         """
-        from repro.store.codec import SnapshotError
-        from repro.store.session_state import snapshot_session
-
         for session_id in owned:
             session = self.sessions.pop(session_id, None)
             self._traces.pop(session_id, None)
@@ -912,26 +895,19 @@ class PrefetchService:
                     del self.evicted[session_id]
                     self.metrics.sessions_closed += 1
                 continue
+            tenant = None
             if self.tenancy is not None:
                 tenant = self.tenancy.tenant_of(session_id)
                 if tenant is not None:
                     self.metrics.record_tenant(tenant, "sessions_closed")
                 self.tenancy.unbind(session_id)
             if not session.closed and session.observations > 0:
-                try:
-                    self.detached[session_id] = snapshot_session(
-                        session,
-                        provenance={
-                            "session": session_id,
-                            "period": session.observations,
-                            "detached": True,
-                        },
-                    )
-                    self.metrics.sessions_detached += 1
-                    while len(self.detached) > self.limits.max_detached_sessions:
-                        self.detached.popitem(last=False)
-                except SnapshotError:  # pragma: no cover - closed raced us
-                    pass
+                self.detached[session_id] = (
+                    self._snapshot(session_id, session, detached=True), tenant
+                )
+                self.metrics.sessions_detached += 1
+                while len(self.detached) > self.limits.max_detached_sessions:
+                    self.detached.popitem(last=False)
             session.close()
             self.metrics.sessions_closed += 1
         owned.clear()

@@ -9,6 +9,8 @@ prefetch stalls, and the per-category totals are mirrored into the run's
 
 from __future__ import annotations
 
+from typing import Any, Dict
+
 
 class SimClock:
     """Monotonic simulated time in milliseconds."""
@@ -23,6 +25,15 @@ class SimClock:
         self.driver_time = 0.0
         self.demand_fetch_time = 0.0
         self.stall_time = 0.0
+
+    def state(self) -> Dict[str, float]:
+        """JSON-ready form: the time and each category's total, verbatim."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Inverse of :meth:`state`."""
+        for name in self.__slots__:
+            setattr(self, name, state[name])
 
     def charge_compute(self, duration: float) -> None:
         """Application computation between I/Os (``T_cpu``)."""

@@ -21,7 +21,7 @@ reproducing the Figure 5 timelines.
 from __future__ import annotations
 
 import heapq
-from typing import Hashable, List
+from typing import Any, Dict, Hashable, List
 
 from repro.params import SystemParams
 
@@ -55,6 +55,18 @@ class DiskModel:
         """
         self.prefetch_reads += 1
         return issue_time + self.params.t_disk
+
+    def state(self) -> Dict[str, Any]:
+        """JSON-ready form: the read counters."""
+        return {
+            "demand_reads": self.demand_reads,
+            "prefetch_reads": self.prefetch_reads,
+        }
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Inverse of :meth:`state`."""
+        self.demand_reads = state["demand_reads"]
+        self.prefetch_reads = state["prefetch_reads"]
 
     @property
     def total_reads(self) -> int:
@@ -104,6 +116,23 @@ class QueuedDiskModel(DiskModel):
     def prefetch_read(self, issue_time: float) -> float:
         self.prefetch_reads += 1
         return self._serve(issue_time)
+
+    def state(self) -> Dict[str, Any]:
+        """The read counters, the queueing totals and each drive's free
+        time.  The heap list is written as it is: heap order is a property
+        of the list layout, which JSON preserves."""
+        state = super().state()
+        state["free_at"] = list(self._free_at)
+        state["queue_delay_total"] = self.queue_delay_total
+        state["queued_requests"] = self.queued_requests
+        return state
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Inverse of :meth:`state`."""
+        super().load_state(state)
+        self._free_at = list(state["free_at"])
+        self.queue_delay_total = state["queue_delay_total"]
+        self.queued_requests = state["queued_requests"]
 
     def utilisation(self, elapsed: float) -> float:
         """Mean fraction of drive time spent serving, over ``elapsed`` ms."""

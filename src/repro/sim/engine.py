@@ -223,10 +223,7 @@ class PrefetchContext:
         stats.prefetches_issued += 1
         stats.prefetch_probability_sum += p_b
         stats.prefetch_depth_sum += depth
-        decision = PrefetchDecision(block, p_b, depth, tag)
-        self.decisions.append(decision)
-        if engine.record_decisions:
-            engine.decision_log.append(decision)
+        self.decisions.append(PrefetchDecision(block, p_b, depth, tag))
         return IssueStatus.ISSUED
 
 
@@ -245,7 +242,6 @@ class Simulator:
         refetch_distance: Optional[int] = None,
         marginal_band: int = 8,
         num_disks: Optional[int] = None,
-        record_decisions: bool = False,
     ) -> None:
         """``num_disks=None`` keeps the paper's infinite-disk assumption;
         an integer uses the FCFS :class:`QueuedDiskModel` instead."""
@@ -273,16 +269,14 @@ class Simulator:
             else QueuedDiskModel(params, num_disks)
         )
         self.stats = SimulationStats()
-        self._s_estimator = PrefetchRateEstimator(alpha=s_alpha, initial=s_initial)
+        self.s_estimator = PrefetchRateEstimator(alpha=s_alpha, initial=s_initial)
+        """Tracks ``s`` from the prefetches each period issues."""
         self.max_prefetches_per_period = max_prefetches_per_period
         self.period = 0
         self.next_block: Optional[Block] = None
         """One-access lookahead, available only to oracle policies."""
         self.full_trace: Optional[Sequence[Block]] = None
         """The materialised trace, published at run start (hint policies)."""
-        self.record_decisions = record_decisions
-        self.decision_log: List[PrefetchDecision] = []
-        """Every prefetch decision of the run, when ``record_decisions``."""
         self._ctx = PrefetchContext(self)
         policy.setup(self)
 
@@ -290,11 +284,11 @@ class Simulator:
 
     @property
     def s(self) -> float:
-        return self._s_estimator.s
+        return self.s_estimator.s
 
     @property
     def s_lifetime_mean(self) -> float:
-        return self._s_estimator.lifetime_mean
+        return self.s_estimator.lifetime_mean
 
     # ----------------------------------------------------------------- run
 
@@ -328,7 +322,7 @@ class Simulator:
         stall = 0.0
         # s moves only at end_period, so this step's terms are fixed here.
         ctx = self._ctx
-        s = self._s_estimator.s
+        s = self.s_estimator.s
         ctx.begin(s)
 
         location = cache.location_of(block)
@@ -356,7 +350,7 @@ class Simulator:
             clock.charge_hit(params.t_hit)
 
         self.policy.prefetch_round(ctx)
-        self._s_estimator.end_period(ctx.issued)
+        self.s_estimator.end_period(ctx.issued)
         clock.charge_compute(params.t_cpu)
         return StepResult(block, period, resolved, stall, tuple(ctx.decisions))
 

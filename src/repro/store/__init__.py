@@ -10,11 +10,14 @@ artifact (cf. MITHRIL's managed association state):
   detection on load);
 * :mod:`repro.store.models` — ``model``-kind snapshots of any
   ``Snapshotable`` (the prefetch tree and every predictor);
-* :mod:`repro.store.session_state` — ``session``-kind snapshots of a whole
-  live :class:`~repro.service.session.PrefetchSession`, restoring to a
-  decision-identical resume;
 * :mod:`repro.store.registry` — :class:`ModelStore`, an on-disk directory
   of named, versioned snapshot entries (``tree-cad@3``).
+
+``session``-kind snapshots of a whole live session, which resume
+decision-identically, are written and read by the session itself
+(:func:`repro.service.session.snapshot_session` and
+:func:`~repro.service.session.restore_session`); this package imports
+nothing from :mod:`repro.service`.
 
 See ``docs/PERSISTENCE.md`` for the format spec and the parity guarantee.
 """
@@ -33,7 +36,6 @@ from repro.store.codec import (
 )
 from repro.store.models import Snapshotable, model_snapshot, restore_model
 from repro.store.registry import ModelStore, ModelStoreError, parse_spec
-from repro.store.session_state import restore_session, snapshot_session
 
 __all__ = [
     "KIND_MODEL",
@@ -51,7 +53,5 @@ __all__ = [
     "read_header",
     "read_snapshot",
     "restore_model",
-    "restore_session",
-    "snapshot_session",
     "write_snapshot",
 ]

@@ -14,7 +14,7 @@ session), the parameters needed to rebuild the owning objects, provenance
 (which trace trained it), and item counts for cheap inspection.  The
 remaining ``body_lines`` lines are the *body*: one JSON record per line,
 in a layer-defined order (see :mod:`repro.store.models` and
-:mod:`repro.store.session_state`).
+:func:`repro.service.session.snapshot_session`).
 
 Integrity is verified on load:
 
@@ -199,9 +199,10 @@ def decode_snapshot(data: bytes) -> Snapshot:
     return _finish_snapshot(header, records)
 
 
-def write_snapshot(snapshot: Snapshot, path: PathLike) -> None:
-    """Atomically write a snapshot: temp file + fsync + rename."""
-    data = encode_snapshot(snapshot)
+def atomic_write(path: PathLike, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically: a same-directory temp file,
+    fsync'd, then ``os.replace``-d into place.  On any failure the temp
+    file is removed and ``path`` is left as it was."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp-{os.getpid()}")
@@ -217,6 +218,11 @@ def write_snapshot(snapshot: Snapshot, path: PathLike) -> None:
         except OSError:
             pass
         raise
+
+
+def write_snapshot(snapshot: Snapshot, path: PathLike) -> None:
+    """Atomically write a snapshot (see :func:`atomic_write`)."""
+    atomic_write(path, encode_snapshot(snapshot))
 
 
 def read_snapshot(path: PathLike) -> Snapshot:
@@ -306,16 +312,4 @@ def read_header(path: PathLike) -> Dict[str, Any]:
     the contents.
     """
     with open(path, "rb") as fh:
-        header_bytes = fh.readline()
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SnapshotCorruptError(f"header is not valid JSON: {exc}") from None
-    if not isinstance(header, dict) or header.get("magic") != MAGIC:
-        raise SnapshotCorruptError("not a snapshot file")
-    if header.get("schema") != SCHEMA_VERSION:
-        raise SnapshotVersionError(
-            f"snapshot schema {header.get('schema')!r} is not supported "
-            f"(this build reads schema {SCHEMA_VERSION})"
-        )
-    return header
+        return _parse_header_line(fh.readline())

@@ -8,7 +8,7 @@ in :mod:`repro.predictors` (``lz``, ``ppm``, ``markov``, ``prob-graph``,
 :meth:`~repro.policies.base.Policy.model` matches the snapshot's kind) —
 prediction quality carries over while cache/cost state starts cold.  For a
 *decision-identical* resume, use a session snapshot
-(:mod:`repro.store.session_state`) instead.
+(:func:`repro.service.session.snapshot_session`) instead.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from repro.store.codec import (
     PathLike,
     Snapshot,
     SnapshotError,
+    atomic_write,
     read_snapshot,
     write_snapshot,
 )
@@ -83,20 +84,8 @@ class ModelStore:
         return manifest
 
     def _write_manifest(self, manifest: Dict[str, Any]) -> None:
-        tmp = self._manifest_path + f".tmp-{os.getpid()}"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(manifest, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self._manifest_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        atomic_write(self._manifest_path, text.encode("utf-8"))
 
     # ------------------------------------------------------------- save
 

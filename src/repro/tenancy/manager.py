@@ -13,8 +13,9 @@ One :class:`TenancyManager` lives inside each serving worker.  It
   fleet-wide before placement;
 * rebinds resumed sessions to their shared base: its
   :meth:`~TenancyManager.model_factory` is passed to
-  :func:`repro.store.session_state.restore_session` so a ``tree-delta``
-  model state restores onto a fresh overlay of the right base.
+  :func:`repro.service.session.restore_session` so a ``tree-delta``
+  model state restores onto a fresh overlay of the right base, and
+  :meth:`~TenancyManager.tenant_of_model` names the tenant to bind it to.
 
 Bases whose snapshot carries a node budget (``max_nodes``) cannot be
 shared (LRU eviction would mutate shared state); those tenants fall back
@@ -213,6 +214,15 @@ class TenancyManager:
                 f"{state.base_ref.get('model')!r}"
             )
         return OverlayTree(state.base_tree, base_ref=dict(state.base_ref))
+
+    def tenant_of_model(self, session) -> Optional[str]:
+        """The served tenant whose shared base ``session``'s overlay names
+        (a session restored from a ``tree-delta`` state), or ``None``."""
+        model = session.simulator.policy.model()
+        if not isinstance(model, OverlayTree):
+            return None
+        tenant = model.base_ref.get("tenant")
+        return tenant if tenant in self._tenants else None
 
     # ----------------------------------------------------------- tracking
 

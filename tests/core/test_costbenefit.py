@@ -155,20 +155,3 @@ class TestDemandEvictionCost:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             cb.cost_demand_eviction(P, -0.1)
-
-
-class TestDecide:
-    def test_prefetch_when_benefit_clears_cost(self):
-        d = cb.decide(P, p_b=0.9, p_x=1.0, depth=1, s=1.0, eviction_cost=0.1)
-        assert d.prefetch
-        assert d.net_benefit == pytest.approx(d.benefit - d.overhead)
-
-    def test_no_prefetch_when_cost_dominates(self):
-        d = cb.decide(P, p_b=0.05, p_x=1.0, depth=1, s=1.0, eviction_cost=10.0)
-        assert not d.prefetch
-
-    def test_threshold_is_net_benefit(self):
-        d = cb.decide(P, p_b=0.5, p_x=1.0, depth=1, s=1.0, eviction_cost=0.0)
-        net = d.benefit - d.overhead
-        d2 = cb.decide(P, p_b=0.5, p_x=1.0, depth=1, s=1.0, eviction_cost=net)
-        assert d2.prefetch  # B - T_oh >= C uses >=

@@ -1,13 +1,8 @@
-"""Unit tests for the online estimators (s, h, windowed rates)."""
+"""Unit tests for the online estimator of ``s``."""
 
 import pytest
 
-from repro.core.estimators import (
-    EwmaRate,
-    PrefetchHitRatioEstimator,
-    PrefetchRateEstimator,
-    WindowedRate,
-)
+from repro.core.estimators import EwmaRate, PrefetchRateEstimator
 
 
 class TestEwmaRate:
@@ -62,46 +57,3 @@ class TestPrefetchRateEstimator:
         est = PrefetchRateEstimator(initial=1.0)
         assert est.lifetime_mean == 0.0
         assert est.s == 1.0
-
-
-class TestPrefetchHitRatioEstimator:
-    def test_ratio(self):
-        est = PrefetchHitRatioEstimator()
-        for _ in range(3):
-            est.record_hit()
-        est.record_miss()
-        assert est.h == pytest.approx(0.75)
-        assert est.resolved == 4
-
-    def test_empty(self):
-        assert PrefetchHitRatioEstimator().h == 0.0
-
-
-class TestWindowedRate:
-    def test_basic_rate(self):
-        w = WindowedRate(window=10)
-        for flag in [True, False, True, True]:
-            w.observe(flag)
-        assert w.rate == pytest.approx(0.75)
-        assert len(w) == 4
-
-    def test_window_rolls(self):
-        w = WindowedRate(window=4)
-        for _ in range(4):
-            w.observe(True)
-        for _ in range(4):
-            w.observe(False)
-        assert w.rate == 0.0
-
-    def test_partial_roll(self):
-        w = WindowedRate(window=4)
-        for flag in [True, True, True, True, False]:
-            w.observe(flag)
-        assert w.rate == pytest.approx(0.75)
-
-    def test_empty(self):
-        assert WindowedRate().rate == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WindowedRate(window=0)

@@ -34,6 +34,20 @@ def _blocks(name="cad", refs=1200, seed=1999):
     return make_trace(name, num_references=refs, seed=seed).as_list()
 
 
+def run_offline(sim, blocks):
+    """``sim.run(blocks)``, also collecting every step's decisions."""
+    decisions = []
+    step = sim.step
+
+    def recording_step(block):
+        result = step(block)
+        decisions.extend(result.decisions)
+        return result
+
+    sim.step = recording_step
+    return decisions, sim.run(blocks)
+
+
 async def _with_server(coro, **service_kwargs):
     """Run ``coro(service, port)`` against a live loopback server."""
     service = PrefetchService(**service_kwargs)
@@ -75,11 +89,10 @@ class TestConcurrentSessions:
         online = asyncio.run(_with_server(scenario))
 
         for name, blocks in traces.items():
-            offline = Simulator(PAPER_PARAMS, make_policy("tree"), CACHE,
-                                record_decisions=True)
-            offline_stats = offline.run(blocks)
+            offline = Simulator(PAPER_PARAMS, make_policy("tree"), CACHE)
+            offline_decisions, offline_stats = run_offline(offline, blocks)
             decisions, final = online[name]
-            assert tuple(decisions) == tuple(offline.decision_log), name
+            assert tuple(decisions) == tuple(offline_decisions), name
             assert final["miss_rate"] == offline_stats.miss_rate, name
             assert final["accesses"] == len(blocks), name
 
@@ -214,9 +227,8 @@ class TestLimitsAndErrors:
 class TestParityThroughWire:
     def test_server_advice_equals_offline_decisions(self):
         blocks = _blocks(refs=1000)
-        offline = Simulator(PAPER_PARAMS, make_policy("tree"), CACHE,
-                            record_decisions=True)
-        offline.run(blocks)
+        offline = Simulator(PAPER_PARAMS, make_policy("tree"), CACHE)
+        offline_decisions, _ = run_offline(offline, blocks)
 
         async def scenario(service, port):
             async with await AsyncServiceClient.connect(
@@ -230,7 +242,7 @@ class TestParityThroughWire:
                 return streamed
 
         streamed = asyncio.run(_with_server(scenario))
-        assert tuple(streamed) == tuple(offline.decision_log)
+        assert tuple(streamed) == tuple(offline_decisions)
 
 
 class TestBlockingClientAndMetrics:

@@ -22,6 +22,20 @@ from repro.traces.synthetic import make_trace
 CACHE = 256
 
 
+def run_offline(sim, blocks):
+    """``sim.run(blocks)``, also collecting every step's decisions."""
+    decisions = []
+    step = sim.step
+
+    def recording_step(block):
+        result = step(block)
+        decisions.extend(result.decisions)
+        return result
+
+    sim.step = recording_step
+    return decisions, sim.run(blocks)
+
+
 def _blocks(name="cad", refs=3000, seed=1999):
     return make_trace(name, num_references=refs, seed=seed).as_list()
 
@@ -38,8 +52,8 @@ class TestParity:
     def test_decisions_match_offline_simulator(self, policy, policy_kwargs):
         blocks = _blocks()
         offline = Simulator(PAPER_PARAMS, make_policy(policy, **policy_kwargs),
-                            CACHE, record_decisions=True)
-        offline_stats = offline.run(blocks)
+                            CACHE)
+        offline_decisions, offline_stats = run_offline(offline, blocks)
 
         session = PrefetchSession(policy=policy, cache_size=CACHE,
                                   policy_kwargs=policy_kwargs)
@@ -48,7 +62,7 @@ class TestParity:
             streamed.extend(session.observe(block).prefetch)
         final = session.close()
 
-        assert tuple(streamed) == tuple(offline.decision_log)
+        assert tuple(streamed) == tuple(offline_decisions)
         assert final["miss_rate"] == offline_stats.miss_rate
         assert final["prefetches_issued"] == offline_stats.prefetches_issued
         assert final["elapsed_time"] == offline_stats.elapsed_time
@@ -56,14 +70,13 @@ class TestParity:
     def test_parity_across_traces(self):
         for name in ("snake", "sitar"):
             blocks = _blocks(name, refs=2000)
-            offline = Simulator(PAPER_PARAMS, make_policy("tree"), CACHE,
-                                record_decisions=True)
-            offline.run(blocks)
+            offline = Simulator(PAPER_PARAMS, make_policy("tree"), CACHE)
+            offline_decisions, _ = run_offline(offline, blocks)
             session = PrefetchSession(policy="tree", cache_size=CACHE)
             streamed = []
             for block in blocks:
                 streamed.extend(session.observe(block).prefetch)
-            assert tuple(streamed) == tuple(offline.decision_log), name
+            assert tuple(streamed) == tuple(offline_decisions), name
 
     def test_seeded_sessions_are_deterministic(self):
         blocks = _blocks(refs=1500)

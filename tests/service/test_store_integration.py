@@ -10,12 +10,11 @@ import pytest
 from repro.service import protocol
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import BackgroundServer, PrefetchService
-from repro.service.session import PrefetchSession
+from repro.service.session import PrefetchSession, snapshot_session
 from repro.store import (
     ModelStore,
     model_snapshot,
     read_snapshot,
-    snapshot_session,
 )
 
 
@@ -111,7 +110,7 @@ class TestCheckpointing:
         assert snapshot.counts["references"] == SPLIT + 50
 
         # the checkpoint resumes exactly where the live session was
-        from repro.store.session_state import restore_session
+        from repro.service.session import restore_session
 
         continuous = PrefetchSession(policy="tree", cache_size=64)
         want = [continuous.observe(b).as_dict() for b in REFS]

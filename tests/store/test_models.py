@@ -110,8 +110,7 @@ class TestMismatches:
             restore_model(snap, PPMPredictor())
 
     def test_session_snapshot_rejected(self):
-        from repro.service.session import PrefetchSession
-        from repro.store.session_state import snapshot_session
+        from repro.service.session import PrefetchSession, snapshot_session
 
         session = PrefetchSession(policy="tree", cache_size=32)
         session.observe(1)

@@ -10,13 +10,16 @@ sealed statistics.  This is the property that makes ``train`` +
 
 import pytest
 
-from repro.service.session import PrefetchSession
+from repro.service.session import (
+    PrefetchSession,
+    restore_session,
+    snapshot_session,
+)
 from repro.store.codec import (
     SnapshotError,
     read_snapshot,
     write_snapshot,
 )
-from repro.store.session_state import restore_session, snapshot_session
 
 
 def lcg_trace(n, seed=7, universe=200):

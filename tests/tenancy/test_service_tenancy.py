@@ -264,6 +264,48 @@ class TestEviction:
         assert service.metrics.live_sessions == 0
 
 
+class TestResumeBindsTenant:
+    """A resume that names no tenant still counts against its tenant."""
+
+    TENANTS = {"acme": {"model": "base", "max_sessions": 1}}
+
+    def _served(self, store, tmp_path):
+        service = make_service(store, tmp_path, tenants=self.TENANTS)
+        owned = set()
+        sid = open_tenant(service, owned, "acme").session
+        for seq, block in enumerate(lcg_trace(200, seed=9)):
+            service.handle(
+                ObserveRequest(id=10 + seq, session=sid, block=block,
+                               seq=seq),
+                owned,
+            )
+        return service, owned, sid
+
+    def _assert_resume_is_bound(self, service, sid):
+        owned = set()
+        reply = service.handle(OpenRequest(id=500, resume=sid), owned)
+        assert isinstance(reply, OpenReply), reply
+        assert reply.resumed and reply.period == 200
+        assert service.tenancy.tenant_of(reply.session) == "acme"
+        stats = service.handle(StatsRequest(id=501), owned).stats
+        assert stats["tenants"]["acme"]["sessions"] == 1
+        second = open_tenant(service, owned, "acme", request_id=502)
+        assert isinstance(second, ErrorReply)
+        assert second.error == protocol.E_QUOTA
+
+    def test_resume_from_the_detached_table(self, store, tmp_path):
+        service, owned, sid = self._served(store, tmp_path)
+        service.drop_connection_sessions(owned)
+        assert sid in service.detached
+        self._assert_resume_is_bound(service, sid)
+
+    def test_resume_from_a_checkpoint_after_restart(self, store, tmp_path):
+        service, _, sid = self._served(store, tmp_path)
+        assert service.checkpoint_sessions(service.checkpoint_dir) == 1
+        restarted = make_service(store, tmp_path, tenants=self.TENANTS)
+        self._assert_resume_is_bound(restarted, sid)
+
+
 @pytest.mark.parametrize("policy,kwargs", PARITY_POLICIES,
                          ids=[name for name, _ in PARITY_POLICIES])
 class TestEvictResumeParity:
