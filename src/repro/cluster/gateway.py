@@ -33,9 +33,13 @@ closing sessions and from compaction against durable checkpoints.
 
 Client connections run on the same connection core as a worker
 (:class:`~repro.service.lineserver.LineServer`, the gateway's
-``endpoint``): one request at a time per client connection, every reply
-drained before the next read.  Per-session locks serialize
-cross-connection access and failover.
+``endpoint``): one request at a time per client connection.  Per-session
+locks serialize cross-connection access and failover.  An OBSERVE on a
+session nothing else holds, whose worker's breaker is closed and whose
+link is connected, is relayed by callbacks alone (:meth:`AdvisoryGateway.
+_relay`): forwarded from the client connection's ``data_received`` and
+answered from the worker link's.  Everything else, and an OBSERVE whose
+reply is late, garbage or ``unknown_session``, runs as a coroutine.
 """
 
 from __future__ import annotations
@@ -43,11 +47,24 @@ from __future__ import annotations
 import asyncio
 import functools
 import itertools
+import json
 import os
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Awaitable,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import Tracer
@@ -57,7 +74,7 @@ from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.cluster.worker import WorkerDirectory
 from repro.service import protocol
 from repro.service.client import ResumeParityError, recover_session
-from repro.service.lineserver import LineServer, Send, bounded_drain
+from repro.service.lineserver import Connection, LineServer
 from repro.service.metrics import _COUNTER_FIELDS, ServiceMetrics
 from repro.service.overload import (
     AdmissionGuard,
@@ -130,21 +147,72 @@ class GatewayStats:
         }
 
 
-class _Conn:
-    """One live upstream socket with its FIFO of reply futures."""
+#: A request's continuation on the worker link: ``(reply line, its
+#: JSON object)``, or ``(None, error)`` when the link fails before the
+#: reply arrives.
+Relay = Callable[[Optional[bytes], Any], None]
 
-    __slots__ = ("reader", "writer", "pending", "task", "timer")
 
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.reader = reader
-        self.writer = writer
-        #: ``(deadline, reply future)`` per request in flight, wire order.
-        self.pending: Deque[Tuple[float, asyncio.Future]] = deque()
-        self.task: Optional[asyncio.Task] = None
+class _Upstream(asyncio.Protocol):
+    """One live worker socket and its FIFO of requests in flight.
+
+    Each entry is ``(deadline, waiter)``, the waiter a :data:`Relay`
+    callback that ``data_received`` hands the reply to.
+    """
+
+    def __init__(self, link: "_WorkerLink") -> None:
+        self._link = link
+        self.loop = asyncio.get_running_loop()
+        self.transport: Optional[asyncio.Transport] = None
+        self.greeted = self.loop.create_future()
+        """Resolved by the worker's HELLO line."""
+        self.pending: Deque[Tuple[float, Relay]] = deque()
         #: The one reply timer, armed while requests are in flight.
         self.timer: Optional[asyncio.TimerHandle] = None
+        self.lost = False
+        self._buffer = b""
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+
+    def data_received(self, data: bytes) -> None:
+        link = self._link
+        buffer = self._buffer + data if self._buffer else data
+        start = 0
+        while not self.lost:
+            end = buffer.find(b"\n", start)
+            if end < 0:
+                break
+            line = buffer[start:end + 1]
+            start = end + 1
+            if not self.greeted.done():
+                self.greeted.set_result(None)
+                continue
+            if not self.pending:
+                link._teardown(self)  # unsolicited reply: FIFO broken
+                return
+            try:
+                reply = json.loads(line)
+            except ValueError:
+                reply = None
+            if type(reply) is not dict:
+                # Garbage: nothing after it can be trusted to line up.
+                link._teardown(self, ConnectionError(
+                    f"worker {link.worker_id} sent an undecodable reply"
+                ))
+                return
+            _, waiter = self.pending.popleft()
+            waiter(line, reply)
+        self._buffer = buffer = buffer[start:] if start else buffer
+        if len(buffer) > link._limit:
+            link._teardown(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if not self.greeted.done():
+            self.greeted.set_exception(ConnectionError(
+                f"worker {self._link.worker_id} closed during HELLO"
+            ))
+        self._link._teardown(self)
 
 
 class _WorkerLink:
@@ -153,15 +221,21 @@ class _WorkerLink:
     Requests from many client connections share one upstream socket;
     because the worker answers strictly in order, replies are matched to
     requests FIFO.  That invariant is also the fragility: a reply that
-    times out or fails to decode means the stream can no longer be
+    times out or fails to parse means the stream can no longer be
     trusted to line up, so the *connection is torn down* — never skipped
-    past — and every in-flight request fails with ``ConnectionError``,
+    past — and every request in flight fails with ``ConnectionError``,
     which the gateway turns into failover.
 
-    Each request's reply is due ``timeout_s`` after it is queued.  The
-    deadlines ride the pending FIFO, so the oldest is always at its head,
-    and one timer per connection enforces them (:meth:`_expire`): a
-    request arms no timer of its own.
+    Every reply goes to its request's callback from the socket's
+    ``data_received``: the OBSERVE fast path's own (:meth:`relay`), or
+    one that resolves the future a coroutine awaits (:meth:`request`).
+    A torn-down connection is never cached, so the next request
+    reconnects.  Each request's reply is due
+    ``timeout_s`` after it is sent.  The deadlines ride the pending FIFO,
+    so the oldest is always at its head, and one timer per connection
+    enforces them (:meth:`_expire`): a request arms no timer of its own.
+    A worker that stops reading also stops answering, so the same
+    deadline bounds a write the worker never takes.
     """
 
     def __init__(
@@ -176,67 +250,63 @@ class _WorkerLink:
         self._resolve = resolve
         self._timeout_s = timeout_s
         self._limit = limit
-        self._conn: Optional[_Conn] = None
-        self._lock = asyncio.Lock()
+        self._upstream: Optional[_Upstream] = None
+        self._connecting = asyncio.Lock()
 
-    async def _connect(self) -> _Conn:
+    @property
+    def connected(self) -> bool:
+        return self._upstream is not None
+
+    async def _connect(self) -> _Upstream:
         endpoint = self._resolve()
         if endpoint is None:
             raise ConnectionError(f"worker {self.worker_id} is down")
         host, port = endpoint
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port, limit=self._limit),
+        upstream = _Upstream(self)
+        await asyncio.wait_for(
+            upstream.loop.create_connection(lambda: upstream, host, port),
             self._timeout_s,
         )
-        banner = await asyncio.wait_for(reader.readline(), self._timeout_s)
-        if not banner:
-            writer.close()
-            raise ConnectionError(
-                f"worker {self.worker_id} closed during HELLO"
-            )
-        conn = _Conn(reader, writer)
-        conn.task = asyncio.ensure_future(self._read_loop(conn))
-        return conn
-
-    async def _read_loop(self, conn: _Conn) -> None:
         try:
-            while True:
-                line = await conn.reader.readline()
-                if not line:
-                    break
-                if not conn.pending:
-                    break  # unsolicited reply: FIFO broken, bail out
-                _, future = conn.pending.popleft()
-                if not future.done():
-                    future.set_result(line)
-        except (OSError, asyncio.LimitOverrunError, ValueError):
-            pass
-        except asyncio.CancelledError:
-            return  # teardown cancelled us; it also fails the pending
-        finally:
-            self._teardown(conn)
+            await asyncio.wait_for(upstream.greeted, self._timeout_s)
+        except BaseException:
+            self._teardown(upstream)
+            raise
+        if upstream.lost:
+            # HELLO, then a close (a draining worker, say) that ran
+            # before this coroutine resumed: the link is already gone.
+            raise ConnectionError(
+                f"worker {self.worker_id} closed after HELLO"
+            )
+        return upstream
 
-    def _teardown(self, conn: Optional[_Conn]) -> None:
-        if conn is None:
+    def _teardown(
+        self, upstream: Optional[_Upstream],
+        error: Optional[Exception] = None,
+    ) -> None:
+        """Drop ``upstream``, failing its oldest request with ``error``
+        and the rest as lost."""
+        if upstream is None:
             return
-        if self._conn is conn:
-            self._conn = None
-        if conn.timer is not None:
-            conn.timer.cancel()
-            conn.timer = None
-        while conn.pending:
-            _, future = conn.pending.popleft()
-            if not future.done():
-                future.set_exception(ConnectionError(
-                    f"worker {self.worker_id} connection lost"
-                ))
-        if conn.task is not None and not conn.task.done():
-            conn.task.cancel()
-        transport = conn.writer.transport
-        if transport is not None:
-            transport.abort()
+        if self._upstream is upstream:
+            self._upstream = None
+        if upstream.lost:
+            return
+        upstream.lost = True
+        if upstream.timer is not None:
+            upstream.timer.cancel()
+            upstream.timer = None
+        if upstream.transport is not None:
+            upstream.transport.abort()
+        while upstream.pending:
+            _, waiter = upstream.pending.popleft()
+            exc = error or ConnectionError(
+                f"worker {self.worker_id} connection lost"
+            )
+            error = None
+            waiter(None, exc)
 
-    def _expire(self, conn: _Conn) -> None:
+    def _expire(self, upstream: _Upstream) -> None:
         """The reply timer fired: re-arm it at the oldest deadline, or,
         if the oldest request is overdue, tear the connection down.
 
@@ -244,52 +314,108 @@ class _WorkerLink:
         recovery is a fresh connection.  An idle connection keeps no
         timer: the next request arms one.
         """
-        conn.timer = None
-        if not conn.pending:
+        upstream.timer = None
+        if not upstream.pending:
             return
-        loop = asyncio.get_running_loop()
-        deadline, future = conn.pending[0]
-        if loop.time() < deadline:
-            conn.timer = loop.call_at(deadline, self._expire, conn)
+        deadline = upstream.pending[0][0]
+        if upstream.loop.time() < deadline:
+            upstream.timer = upstream.loop.call_at(
+                deadline, self._expire, upstream
+            )
             return
-        conn.pending.popleft()
-        if not future.done():
-            future.set_exception(ConnectionError(
-                f"worker {self.worker_id} timed out"
+        self._teardown(upstream, ConnectionError(
+            f"worker {self.worker_id} timed out"
+        ))
+
+    def _send(self, upstream: _Upstream, line: bytes, waiter: Relay) -> None:
+        if upstream.lost:
+            waiter(None, ConnectionError(
+                f"worker {self.worker_id} connection lost"
             ))
-        self._teardown(conn)
+            return
+        # Queue and write in one step, so the FIFO order is the wire's.
+        deadline = upstream.loop.time() + self._timeout_s
+        upstream.pending.append((deadline, waiter))
+        if upstream.timer is None:
+            upstream.timer = upstream.loop.call_at(
+                deadline, self._expire, upstream
+            )
+        upstream.transport.write(line)
 
     def invalidate(self) -> None:
         """Drop the cached connection (worker restarted or went down)."""
-        self._teardown(self._conn)
+        self._teardown(self._upstream)
 
     async def request(self, line: bytes) -> bytes:
         """Send one NDJSON line; return the matching reply line."""
-        async with self._lock:
-            # The lock covers connect + enqueue + write, so the pending
-            # FIFO order is exactly the on-wire order.  Awaiting the
-            # reply happens outside it: requests pipeline.
-            conn = self._conn
-            if conn is None:
-                conn = self._conn = await self._connect()
-            loop = asyncio.get_running_loop()
-            future = loop.create_future()
-            deadline = loop.time() + self._timeout_s
-            conn.pending.append((deadline, future))
-            if conn.timer is None:
-                conn.timer = loop.call_at(deadline, self._expire, conn)
-            try:
-                conn.writer.write(line)
-                await bounded_drain(conn.writer, self._timeout_s)
-            except (OSError, asyncio.TimeoutError, TimeoutError):
-                self._teardown(conn)
-                raise ConnectionError(
-                    f"worker {self.worker_id} write failed"
-                ) from None
+        upstream = self._upstream
+        if upstream is None:
+            async with self._connecting:
+                upstream = self._upstream
+                if upstream is None:
+                    upstream = self._upstream = await self._connect()
+        future = upstream.loop.create_future()
+
+        def settle(reply: Optional[bytes], parsed: Any) -> None:
+            if future.done():
+                return  # the caller was cancelled
+            if reply is None:
+                future.set_exception(parsed)
+            else:
+                future.set_result(reply)
+
+        self._send(upstream, line, settle)
         return await future
+
+    def relay(self, line: bytes, relay: Relay) -> None:
+        """Send one NDJSON line on the connected link; its reply goes to
+        ``relay`` from ``data_received``."""
+        self._send(self._upstream, line, relay)
 
     async def aclose(self) -> None:
         self.invalidate()
+
+
+class _SessionLock:
+    """A session's mutual exclusion: ``async with`` as with
+    :class:`asyncio.Lock`, plus :meth:`try_acquire`, which lets the
+    OBSERVE fast path hold the session across a relay without awaiting.
+    A release hands the lock straight to the oldest waiter."""
+
+    __slots__ = ("_held", "_waiters")
+
+    def __init__(self) -> None:
+        self._held = False
+        self._waiters: Deque[asyncio.Future] = deque()
+
+    def try_acquire(self) -> bool:
+        if self._held:
+            return False
+        self._held = True
+        return True
+
+    def release(self) -> None:
+        while self._waiters:
+            waiter = self._waiters.popleft()
+            if not waiter.done():
+                waiter.set_result(None)  # still held, by the waiter now
+                return
+        self._held = False
+
+    async def __aenter__(self) -> None:
+        if self.try_acquire():
+            return
+        waiter = asyncio.get_running_loop().create_future()
+        self._waiters.append(waiter)
+        try:
+            await waiter
+        except asyncio.CancelledError:
+            if not waiter.cancelled():
+                self.release()  # handed over as we were cancelled
+            raise
+
+    async def __aexit__(self, *exc_info: Any) -> None:
+        self.release()
 
 
 class _GatewaySession:
@@ -327,7 +453,7 @@ class _GatewaySession:
         #: failover resume reuses ``open_request`` verbatim, so lineage
         #: survives worker moves for free.
         self.trace: Optional[str] = open_request.trace
-        self.lock = asyncio.Lock()
+        self.lock = _SessionLock()
 
     @property
     def next_seq(self) -> int:
@@ -456,9 +582,14 @@ class AdvisoryGateway:
             if breaker.blocked
         }
 
-    def _record_breaker_failure(
-        self, breaker: CircuitBreaker, worker_id: str
-    ) -> None:
+    def _account(self, worker_id: str, ok: bool) -> None:
+        """The breaker's tally of one round trip to ``worker_id``: a
+        healthy reply closes it again, a failure counts toward tripping."""
+        breaker = self._breaker(worker_id)
+        if ok:
+            if breaker.record_success():
+                self.stats.breakers_closed += 1
+            return
         if not breaker.record_failure():
             return
         self.stats.breakers_opened += 1
@@ -479,28 +610,37 @@ class AdvisoryGateway:
         and closes again on the first healthy reply.  Failures surface as
         ``ConnectionError`` so existing failover paths apply unchanged.
         """
-        breaker = self._breaker(worker_id)
-        if not breaker.allow():
+        if not self._breaker(worker_id).allow():
             raise ConnectionError(
                 f"worker {worker_id}: circuit open (cooling down)"
             )
         link = self._link(worker_id)
+        outcome: Union[bytes, Exception]
         try:
-            raw = await link.request(protocol.encode_request(request))
-        except (ConnectionError, OSError):
-            self._record_breaker_failure(breaker, worker_id)
-            raise
+            outcome = await link.request(protocol.encode_request(request))
+        except (ConnectionError, OSError) as exc:
+            outcome = exc
+        return outcome, self._settle(worker_id, outcome)  # type: ignore
+
+    def _settle(
+        self, worker_id: str, outcome: Union[bytes, Exception]
+    ) -> Reply:
+        """Decode one round trip's reply line, or raise its link error,
+        with the breaker's accounting.  A line that does not decode
+        also tears the link down: the FIFO can no longer be trusted."""
+        if isinstance(outcome, Exception):
+            self._account(worker_id, False)
+            raise outcome
         try:
-            reply = protocol.decode_reply(raw)
+            reply = protocol.decode_reply(outcome)
         except ProtocolError:
-            link.invalidate()
-            self._record_breaker_failure(breaker, worker_id)
+            self._link(worker_id).invalidate()
+            self._account(worker_id, False)
             raise ConnectionError(
                 f"worker {worker_id} sent an undecodable reply"
             ) from None
-        if breaker.record_success():
-            self.stats.breakers_closed += 1
-        return raw, reply
+        self._account(worker_id, True)
+        return reply
 
     def _spawn(self, coro) -> None:
         task = asyncio.ensure_future(coro)
@@ -551,13 +691,25 @@ class AdvisoryGateway:
     # ------------------------------------------------------------ upstream
 
     async def _forward(
-        self, session: _GatewaySession, request: Request
+        self,
+        session: _GatewaySession,
+        request: Request,
+        first: Union[bytes, Exception, None] = None,
     ) -> Tuple[bytes, Reply]:
-        """Forward on the session's worker, failing over once if it died."""
+        """Forward on the session's worker, failing over once if it died.
+
+        ``first`` is the outcome of an attempt already made (the OBSERVE
+        fast path's reply line or link error), settled here instead of
+        sending the request again.
+        """
+        worker_id = session.worker_id
         try:
-            raw, reply = await self._worker_call(session.worker_id, request)
+            if first is None:
+                raw, reply = await self._worker_call(worker_id, request)
+            else:
+                raw, reply = first, self._settle(worker_id, first)
         except (ConnectionError, OSError):
-            await self._failover(session, exclude={session.worker_id})
+            await self._failover(session, exclude={worker_id})
             return await self._worker_call(session.worker_id, request)
         if (
             isinstance(reply, ErrorReply)
@@ -911,35 +1063,78 @@ class AdvisoryGateway:
                     request.id, protocol.E_UNKNOWN_SESSION,
                     f"unknown session {request.session!r}",
                 )
-            expected = session.next_seq
-            if request.seq is None:
-                # Tag the fold so a failover replay (or a worker that
-                # already folded it before dying) is detected, not
-                # double-counted.
-                forward = replace(request, seq=expected)
-            else:
-                forward = request
+            forward, expected = self._tag(session, request)
             trace_id = session.trace if self.tracer is not None else None
             t0 = time.perf_counter() if trace_id is not None else 0.0
-            raw, reply = await self._forward(session, forward)
-            if trace_id is not None:
-                self.tracer.record(
-                    trace_id, "gateway.worker_rpc",
-                    t0, time.perf_counter() - t0,
-                    session=session.sid, worker=session.worker_id,
-                )
-            if isinstance(reply, ObserveReply) and forward.seq == expected:
-                t1 = time.perf_counter() if trace_id is not None else 0.0
-                session.journal.append(request.block)
-                if len(session.journal) >= self.journal_compact_after:
-                    await self._compact_journal(session)
-                if trace_id is not None:
-                    self.tracer.record(
-                        trace_id, "gateway.journal_append",
-                        t1, time.perf_counter() - t1,
-                        session=session.sid,
-                    )
-            return raw, reply
+            return await self._observe(
+                session, forward, expected, trace_id, t0
+            )
+
+    @staticmethod
+    def _tag(
+        session: _GatewaySession, request: ObserveRequest
+    ) -> Tuple[ObserveRequest, int]:
+        """The OBSERVE to forward and the seq it must fold at.
+
+        A request without ``seq`` is tagged with the session's next one,
+        so a failover replay (or a worker that already folded it before
+        dying) is detected, not double-counted.
+        """
+        expected = session.next_seq
+        if request.seq is None:
+            request = ObserveRequest(
+                request.id, request.session, request.block, expected
+            )
+        return request, expected
+
+    def _journal(
+        self,
+        session: _GatewaySession,
+        forward: ObserveRequest,
+        expected: int,
+        trace_id: Optional[str],
+    ) -> bool:
+        """Journal an acknowledged OBSERVE, unless the worker answered a
+        duplicate from its cache; True when the journal is due for
+        :meth:`_compact_journal`."""
+        if forward.seq != expected:
+            return False
+        t0 = time.perf_counter() if trace_id is not None else 0.0
+        session.journal.append(forward.block)
+        if trace_id is not None:
+            self.tracer.record(
+                trace_id, "gateway.journal_append",
+                t0, time.perf_counter() - t0, session=session.sid,
+            )
+        return (
+            self.checkpoint_dir is not None
+            and len(session.journal) >= self.journal_compact_after
+        )
+
+    async def _observe(
+        self,
+        session: _GatewaySession,
+        forward: ObserveRequest,
+        expected: int,
+        trace_id: Optional[str],
+        t0: float,
+        first: Union[bytes, Exception, None] = None,
+    ) -> Tuple[bytes, Reply]:
+        """The coroutine path of one tagged OBSERVE; caller holds the
+        session lock.  Forwards it (or settles the fast path's attempt,
+        ``first``), failing over when it must, and journals the fold."""
+        raw, reply = await self._forward(session, forward, first)
+        if trace_id is not None:
+            self.tracer.record(
+                trace_id, "gateway.worker_rpc",
+                t0, time.perf_counter() - t0,
+                session=session.sid, worker=session.worker_id,
+            )
+        if isinstance(reply, ObserveReply) and self._journal(
+            session, forward, expected, trace_id
+        ):
+            await self._compact_journal(session)
+        return raw, reply
 
     async def _handle_stats(
         self, request: StatsRequest
@@ -1088,48 +1283,181 @@ class AdvisoryGateway:
 
     async def _dispatch(
         self, request: Request, owned: Set[str]
-    ) -> Tuple[Optional[bytes], Optional[Reply]]:
+    ) -> Tuple[Optional[bytes], Reply]:
+        if isinstance(request, OpenRequest):
+            return await self._handle_open(request, owned)
+        if isinstance(request, ObserveRequest):
+            return await self._handle_observe(request)
+        if isinstance(request, StatsRequest):
+            return await self._handle_stats(request)
+        return await self._handle_close(request, owned)
+
+    # ----------------------------------------------------------- connection
+
+    def _respond(
+        self, request: Request, conn: Connection
+    ) -> Optional[bytes]:
+        if type(request) is ObserveRequest:
+            session = self.sessions.get(request.session)
+            if session is None or session.closed:
+                return protocol.encode_reply(ErrorReply(
+                    request.id, protocol.E_UNKNOWN_SESSION,
+                    f"unknown session {request.session!r}",
+                ))
+            if self._relay(session, request, conn):
+                return None
+        conn.defer(self._answer(
+            request, functools.partial(self._dispatch, request, conn.owned),
+            admitted=False,
+        ))
+        return None
+
+    async def _answer(
+        self,
+        request: Request,
+        work: Callable[[], Awaitable[Tuple[Optional[bytes], Reply]]],
+        *,
+        admitted: bool,
+    ) -> bytes:
+        """The coroutine path's reply line: the worker's bytes verbatim,
+        or the gateway's own reply.  A lost session or an unreachable
+        fleet becomes an error reply."""
+        t_admit = time.perf_counter() if self.tracer is not None else 0.0
         try:
-            if isinstance(request, OpenRequest):
-                return await self._handle_open(request, owned)
-            if isinstance(request, ObserveRequest):
-                return await self._handle_observe(request)
-            if isinstance(request, StatsRequest):
-                return await self._handle_stats(request)
-            return await self._handle_close(request, owned)
+            raw, reply = await work()
         except SessionLost as exc:
             self.stats.errors += 1
-            return None, ErrorReply(
+            raw, reply = None, ErrorReply(
                 request.id, protocol.E_SESSION_ERROR, str(exc)
             )
         except (ConnectionError, OSError) as exc:
             self.stats.errors += 1
-            return None, ErrorReply(
+            raw, reply = None, ErrorReply(
                 request.id, protocol.E_SESSION_ERROR,
                 f"fleet unavailable: {exc}",
             )
-
-    # ----------------------------------------------------------- connection
-
-    async def _respond(
-        self, request: Request, owned: Set[str], send: Send
-    ) -> None:
-        t_admit = time.perf_counter() if self.tracer is not None else 0.0
-        raw, reply = await self._dispatch(request, owned)
         # For an OPEN the trace id only exists after dispatch (the
         # gateway mints it with the session id), so both spans of the
         # client connection resolve it here.
         trace_id = self._request_trace(request, reply)
-        if trace_id is not None:
+        if trace_id is not None and not admitted:
             self.tracer.record(trace_id, "gateway.admission", t_admit, 0.0)
         t_relay = time.perf_counter() if trace_id is not None else 0.0
-        # A worker's reply goes out byte-for-byte.
-        await send(raw if raw is not None else protocol.encode_reply(reply))
+        line = raw if raw is not None else protocol.encode_reply(reply)
         if trace_id is not None:
             self.tracer.record(
                 trace_id, "gateway.reply_relay",
                 t_relay, time.perf_counter() - t_relay,
             )
+        return line
+
+    def _relay(
+        self,
+        session: _GatewaySession,
+        request: ObserveRequest,
+        conn: Connection,
+    ) -> bool:
+        """The OBSERVE fast path: forward ``request`` and answer it from
+        the worker link's ``data_received``, with no task or future.
+
+        Taken only when nothing else holds the session, its worker's
+        breaker is closed and the link is connected; the caller takes
+        the coroutine path otherwise.  The session stays locked until
+        the reply is relayed (:meth:`_relayed`).
+        """
+        worker_id = session.worker_id
+        breaker = self._breakers.get(worker_id)
+        link = self._links.get(worker_id)
+        if (
+            (breaker is not None and breaker.state != "closed")
+            or link is None
+            or not link.connected
+            or not session.lock.try_acquire()
+        ):
+            return False
+        forward, expected = self._tag(session, request)
+        trace_id = session.trace if self.tracer is not None else None
+        t0 = 0.0
+        if trace_id is not None:
+            t0 = time.perf_counter()
+            self.tracer.record(trace_id, "gateway.admission", t0, 0.0)
+        link.relay(protocol.encode_request(forward), functools.partial(
+            self._relayed, conn, session, forward, expected, trace_id, t0,
+        ))
+        return True
+
+    def _relayed(
+        self,
+        conn: Connection,
+        session: _GatewaySession,
+        forward: ObserveRequest,
+        expected: int,
+        trace_id: Optional[str],
+        t0: float,
+        line: Optional[bytes],
+        reply: Any,
+    ) -> None:
+        """A fast-path OBSERVE's reply (``line``, parsed as ``reply``), or
+        the link's error (``line`` None).
+
+        A healthy ObserveReply (``ok`` and ``cmd`` are enough) is
+        journaled and its bytes written to the client here.  Anything
+        else, and a journal due for compaction, continues on the
+        coroutine path with the session still locked.
+        """
+        if line is None or not (
+            reply.get("ok") is True and reply.get("cmd") == "observe"
+        ):
+            conn.defer(self._answer(forward, functools.partial(
+                self._settle_relay, session, forward, expected, trace_id, t0,
+                reply if line is None else line,
+            ), admitted=True))
+            return
+        t1 = time.perf_counter() if trace_id is not None else 0.0
+        self._account(session.worker_id, True)
+        if trace_id is not None:
+            self.tracer.record(
+                trace_id, "gateway.worker_rpc", t0, t1 - t0,
+                session=session.sid, worker=session.worker_id,
+            )
+        if self._journal(session, forward, expected, trace_id):
+            conn.defer(self._answer(forward, functools.partial(
+                self._settle_relay, session, forward, expected, trace_id, t0,
+                line, journaled=True,
+            ), admitted=True))
+            return
+        session.lock.release()
+        conn.finish(line)
+        if trace_id is not None:
+            self.tracer.record(
+                trace_id, "gateway.reply_relay",
+                t1, time.perf_counter() - t1,
+            )
+
+    async def _settle_relay(
+        self,
+        session: _GatewaySession,
+        forward: ObserveRequest,
+        expected: int,
+        trace_id: Optional[str],
+        t0: float,
+        outcome: Union[bytes, Exception],
+        *,
+        journaled: bool = False,
+    ) -> Tuple[bytes, Reply]:
+        """The coroutine half of the OBSERVE fast path, which still holds
+        the session lock: compact a journal that reached its bound, or
+        settle a reply that was not a healthy ObserveReply (failing over
+        when it must)."""
+        try:
+            if journaled:
+                await self._compact_journal(session)
+                return outcome, None  # type: ignore[return-value]
+            return await self._observe(
+                session, forward, expected, trace_id, t0, outcome
+            )
+        finally:
+            session.lock.release()
 
     def _request_trace(
         self, request: Request, reply: Optional[Reply]

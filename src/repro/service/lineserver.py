@@ -6,32 +6,40 @@ that does not depend on what a request means lives here, once:
 
 * the listener and its port;
 * the HELLO line sent as a connection opens;
-* reads bounded by the idle timeout: a read that waits that long ends
-  the connection, counted in ``timeouts``;
+* the idle deadline: a connection that stays idle that long is closed,
+  counted in ``timeouts``;
 * an over-long line: one ``E_BAD_REQUEST`` error line, then a half-close;
   the rest of the client's input is read away until it closes its side
   (or the idle deadline passes), so the close is clean, not a reset;
 * one error line per undecodable request, the connection kept;
+* an error escaping the decoder or the handler ends only the connection
+  whose line raised it, reported to the event loop's exception handler;
 * shedding brand-new OPENs with ``E_OVERLOAD`` and ``retry_after_s``;
-* the in-flight bracket the admission watermark measures, and a drain
-  after every reply, bounded by the drain timeout (a stalled reply drops
-  the connection, counted in ``timeouts``);
+* the in-flight bracket the admission watermark measures, from decode
+  until the reply is handed to the socket;
+* the drain bound: a connection whose replies stay unsent that long is
+  dropped, counted in ``timeouts``;
 * per-connection teardown, and :meth:`LineServer.aclose`, which stops
-  accepting, then cancels and awaits every live connection.
+  accepting, then ends every live connection and awaits its handler.
 
-Neither bound costs a timer per request.  The idle deadline is one timer
-per connection that checks when the current read started
-(:class:`_IdleDeadline`), and a drain can only block when the socket left
-bytes unsent, so the drain bound is armed only then (:func:`bounded_drain`,
-which the gateway's worker links use too).
+A connection is an :class:`asyncio.Protocol` (:class:`Connection`), so a
+request costs no task, lock or future of the core's own: each line is
+decoded, served and answered inside ``data_received``.  Neither bound
+costs a timer per request.  The idle deadline is one timer per
+connection that checks when the connection last became idle
+(:class:`_IdleDeadline`), and the drain bound is armed only while the
+transport has paused writing, the one time a reply can be stuck.
 
 What a request *means* belongs to the handler.  ``respond(request,
-owned, send)`` answers one decoded, admitted request by awaiting
-``send(line)`` with its reply bytes; ``owned`` is the set of session ids
-the connection holds, and ``detach(owned)`` runs once as the connection
-ends.  Requests on one connection are served in order and every reply
-is drained before the next line is read, so a slow reader backpressures
-its own pipeline, not the whole endpoint.
+conn)`` answers one decoded, admitted request: it returns the reply
+bytes, written at once, or ``None`` once it has arranged to answer later
+through :meth:`Connection.finish` (a callback) or
+:meth:`Connection.defer` (a coroutine run as a task).  ``conn.owned`` is
+the set of session ids the connection holds, and ``detach(owned)`` runs
+once as the connection ends.  Requests on one connection are served in
+order: while one is in flight, or while the transport has paused
+writing, later lines wait in the connection's buffer, so a slow reader
+backpressures its own pipeline, not the whole endpoint.
 """
 
 from __future__ import annotations
@@ -49,41 +57,27 @@ from repro.service.protocol import (
     Request,
 )
 
-#: Writes one reply line and waits (boundedly) for it to drain.
-Send = Callable[[bytes], Awaitable[None]]
-Respond = Callable[[Request, Set[str], Send], Awaitable[None]]
-
-
-async def bounded_drain(
-    writer: asyncio.StreamWriter, timeout_s: Optional[float]
-) -> None:
-    """``writer.drain()``, raising ``asyncio.TimeoutError`` past
-    ``timeout_s``.
-
-    Only a transport holding unsent bytes can pause the writer, so only
-    then can a peer that stops reading block the drain, and only then is
-    the bound worth a timer (and, before Python 3.12, a task).
-    """
-    if writer.transport.get_write_buffer_size():
-        await asyncio.wait_for(writer.drain(), timeout_s)
-    else:
-        await writer.drain()
+#: Answers one request: its reply bytes, or ``None`` when the handler
+#: will answer later through ``conn.finish`` (never from inside this
+#: call) or ``conn.defer``.
+Respond = Callable[[Request, "Connection"], Optional[bytes]]
 
 
 class _IdleDeadline:
-    """Ends a connection whose read has waited ``timeout_s`` (``None``:
+    """Ends a connection that has stayed idle ``timeout_s`` (``None``:
     never).
 
-    A read sets ``reading_since`` as it starts and clears it when it
-    returns, so a request costs two attribute writes and no timer.  The
-    one timer is armed when the deadline is made and re-armed only when
-    it fires: at the waiting read's deadline, or a full timeout ahead
-    when no read waits.  An expired read sees EOF, because the timer
-    closes the transport, and ``expired`` says why.
+    The connection sets ``idle_since`` when it becomes idle and clears it
+    while a request is in flight or its replies wait to drain, so a
+    request costs two attribute writes and no timer.  The one timer is
+    armed when the deadline is made and re-armed only when it fires: at
+    the idle connection's deadline, or a full timeout ahead when the
+    connection is busy.  Expiry closes the transport, and ``expired``
+    says why.
     """
 
     __slots__ = (
-        "reading_since", "expired", "_loop", "_timeout_s", "_transport",
+        "idle_since", "expired", "_loop", "_timeout_s", "_transport",
         "_timer",
     )
 
@@ -93,7 +87,7 @@ class _IdleDeadline:
         timeout_s: Optional[float],
         transport: asyncio.BaseTransport,
     ) -> None:
-        self.reading_since: Optional[float] = None
+        self.idle_since: Optional[float] = loop.time()
         self.expired = False
         self._loop = loop
         self._timeout_s = timeout_s
@@ -104,7 +98,7 @@ class _IdleDeadline:
 
     def _fire(self) -> None:
         now = self._loop.time()
-        since = self.reading_since
+        since = self.idle_since
         if since is None or now - since < self._timeout_s:
             start = now if since is None else since
             self._timer = self._loop.call_at(
@@ -114,7 +108,7 @@ class _IdleDeadline:
         self._timer = None
         self.expired = True
         # close() would first flush replies the client left unread, and
-        # the read would wait for that as long as the client does.
+        # wait for that as long as the client does.
         if self._transport.get_write_buffer_size():
             self._transport.abort()
         else:
@@ -124,6 +118,277 @@ class _IdleDeadline:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
+
+
+class Connection(asyncio.Protocol):
+    """One client connection of a :class:`LineServer`."""
+
+    def __init__(self, server: "LineServer") -> None:
+        self._server = server
+        self.owned: Set[str] = set()
+        """Session ids this connection holds (the handler's to fill)."""
+        self.transport: Optional[asyncio.Transport] = None
+        self._loop = server._loop
+        self._deadline: Optional[_IdleDeadline] = None
+        #: Received bytes not yet served: a partial line, or whole lines
+        #: held while a request is in flight or writing is paused.
+        self._buffer = b""
+        self._busy = False
+        self._task: Optional[asyncio.Task] = None
+        self._paused = False
+        self._drain_timer: Optional[asyncio.TimerHandle] = None
+        self._eof = False
+        self._discarding = False
+        self._lost = False
+        self._ended = False
+
+    # ------------------------------------------------------------ asyncio
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        server = self._server
+        self.transport = transport  # type: ignore[assignment]
+        server._connections.add(self)
+        server._counters.connections_opened += 1
+        if server._closing:
+            transport.abort()
+            return
+        transport.write(server._hello)  # type: ignore[attr-defined]
+        self._deadline = _IdleDeadline(
+            self._loop, server._idle_timeout_s, transport
+        )
+
+    def data_received(self, data: bytes) -> None:
+        if self._discarding:
+            return
+        self._buffer = self._buffer + data if self._buffer else data
+        self._process()
+
+    def eof_received(self) -> bool:
+        if self._discarding:
+            return False  # the client closed its side: close ours
+        self._eof = True
+        if self._buffer:
+            self._buffer += b"\n"  # a last line without its newline counts
+        self._process()
+        return True
+
+    def pause_writing(self) -> None:
+        self._paused = True
+        timeout = self._server._drain_timeout_s
+        if timeout is not None:
+            self._drain_timer = self._loop.call_later(
+                timeout, self._drain_expired
+            )
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        if self._drain_timer is not None:
+            self._drain_timer.cancel()
+            self._drain_timer = None
+        self._process()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._lost = True
+        if self._drain_timer is not None:
+            self._drain_timer.cancel()
+            self._drain_timer = None
+        if not self._busy:
+            self._end()
+
+    # ------------------------------------------------------------ serving
+
+    def _process(self) -> None:
+        """Serve buffered lines in order until a request is in flight,
+        writing is paused, or no whole line is left."""
+        server = self._server
+        limit = server._max_line_bytes
+        buffer = self._buffer
+        start = 0
+        while not (self._busy or self._paused or self._lost):
+            end = buffer.find(b"\n", start)
+            if end < 0:
+                break
+            if end - start > limit:
+                self._overflow()
+                return
+            line = buffer[start:end]
+            start = end + 1
+            self._deadline.idle_since = None
+            try:
+                self._serve_line(line)
+            except Exception as exc:
+                self._fail(exc)
+                return
+        if start:
+            buffer = self._buffer = buffer[start:]
+        if self._lost or self._discarding:
+            return
+        transport = self.transport
+        if self._busy or self._paused:
+            # Hold at most about a line's worth of pipelined input.
+            if len(buffer) > limit and transport.is_reading():
+                transport.pause_reading()
+            return
+        if len(buffer) > limit:
+            self._overflow()
+            return
+        if not transport.is_reading():
+            transport.resume_reading()
+        if self._eof:
+            transport.close()
+        elif self._deadline.idle_since is None:
+            self._deadline.idle_since = self._loop.time()
+
+    def _serve_line(self, line: bytes) -> None:
+        server = self._server
+        stripped = line.strip()
+        if not stripped:
+            return
+        try:
+            request = protocol.decode_request(stripped)
+        except ProtocolError as exc:
+            server._counters.errors += 1
+            self.transport.write(protocol.encode_reply(
+                ErrorReply(0, exc.code, str(exc))
+            ))
+            return
+        shed = server.shed_reply(request)
+        if shed is not None:
+            self.transport.write(protocol.encode_reply(shed))
+            return
+        guard = server._guard
+        guard.begin()
+        self._busy = True
+        try:
+            reply = server._respond(request, self)
+        except BaseException:
+            self._busy = False
+            guard.end()
+            raise
+        if reply is not None:
+            self._busy = False
+            self.transport.write(reply)
+            guard.end()
+
+    def finish(self, line: bytes) -> None:
+        """Answer the request in flight with ``line``, then serve the
+        lines held behind it."""
+        if not self._busy:
+            return  # abandoned by aclose()
+        self._busy = False
+        self._task = None
+        if self._lost:
+            self._server._guard.end()
+            self._end()
+            return
+        self.transport.write(line)
+        self._server._guard.end()
+        self._process()
+
+    def defer(self, reply: Awaitable[bytes]) -> None:
+        """Answer the request in flight with the line ``reply`` returns,
+        awaited in a task of the endpoint's."""
+        if not self._busy:
+            reply.close()  # type: ignore[attr-defined]  # abandoned
+            return
+        task = self._task = asyncio.ensure_future(self._finish_with(reply))
+        tasks = self._server._tasks
+        tasks.add(task)
+        task.add_done_callback(tasks.discard)
+
+    async def _finish_with(self, reply: Awaitable[bytes]) -> None:
+        try:
+            line = await reply
+        except BaseException:
+            # No reply to send: drop the connection, as an escaped
+            # handler error always has.
+            if self._busy:
+                self._busy = False
+                self._task = None
+                self._server._guard.end()
+                if self._lost:
+                    self._end()
+                else:
+                    self.transport.abort()
+            raise
+        self.finish(line)
+
+    def _fail(self, exc: Exception) -> None:
+        """Drop this connection after an error serving one of its lines,
+        reported as asyncio reports a failed protocol callback.
+
+        The error must not escape: :meth:`finish` serves held lines
+        inside whichever callback answered the request in flight (on the
+        gateway, the worker link's ``data_received``), and an exception
+        raised there would end that connection instead of this one.
+        """
+        self._buffer = b""
+        self._loop.call_exception_handler({
+            "message": "error serving a request line",
+            "exception": exc,
+            "protocol": self,
+            "transport": self.transport,
+        })
+        self.transport.abort()
+
+    def _overflow(self) -> None:
+        server = self._server
+        server._counters.errors += 1
+        self._discarding = True
+        self._buffer = b""
+        transport = self.transport
+        transport.write(protocol.encode_reply(ErrorReply(
+            0, protocol.E_BAD_REQUEST, "request line too long",
+        )))
+        # Framing is lost, but closing with the rest of the line unread
+        # makes the kernel reset the connection, which can destroy the
+        # error line before the client reads it.  Half-close, and read
+        # the input away until the client closes (or the deadline
+        # passes).
+        transport.write_eof()
+        if not transport.is_reading():
+            transport.resume_reading()
+        self._deadline.idle_since = self._loop.time()
+
+    def _drain_expired(self) -> None:
+        # Replies did not drain in time: drop the connection rather than
+        # wait for the client to take what it left unread.
+        self._drain_timer = None
+        self._server._counters.timeouts += 1
+        self.transport.abort()
+
+    # ----------------------------------------------------------- teardown
+
+    def _shut(self) -> None:
+        """End this connection now (:meth:`LineServer.aclose`)."""
+        if self._task is not None:
+            self._task.cancel()  # its handler ends the bracket
+        elif self._busy:
+            # A callback answer is still due: abandon it.
+            self._busy = False
+            self._server._guard.end()
+        transport = self.transport
+        if transport.get_write_buffer_size():
+            transport.abort()
+        else:
+            transport.close()
+        if self._lost and not self._busy:
+            self._end()
+
+    def _end(self) -> None:
+        if self._ended:
+            return
+        self._ended = True
+        server = self._server
+        server._connections.discard(self)
+        counters = server._counters
+        deadline = self._deadline
+        if deadline is not None:
+            deadline.cancel()
+            if deadline.expired:
+                counters.timeouts += 1
+        server._detach(self.owned)
+        counters.connections_closed += 1
 
 
 class LineServer:
@@ -159,14 +424,18 @@ class LineServer:
         self._max_line_bytes = max_line_bytes
         self.port: Optional[int] = None
         """The bound port, once :meth:`start` has run."""
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: Set[asyncio.Task] = set()
+        self._connections: Set[Connection] = set()
+        #: Handler tasks of deferred answers (:meth:`Connection.defer`).
+        self._tasks: Set[asyncio.Task] = set()
         self._closing = False
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         """Bind and start accepting (``port=0`` picks a free port)."""
-        self._server = await asyncio.start_server(
-            self._accept, host, port, limit=self._max_line_bytes,
+        self._loop = asyncio.get_running_loop()
+        self._server = await self._loop.create_server(
+            lambda: Connection(self), host, port,
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -176,20 +445,17 @@ class LineServer:
             self._server.close()
 
     async def aclose(self) -> None:
-        """Stop accepting, then cancel every live connection and await
-        its teardown, so no handler outlives the event loop."""
-        # The flag ends a connection before its next read even when its
-        # cancel is lost: before Python 3.12, asyncio.wait_for (a bounded
-        # drain, a handler's own timeouts) swallows a cancel that lands
-        # just as its inner await completes.  A connection whose accept
-        # was already under way joins the set late, hence the loop.
+        """Stop accepting, then end every live connection and await its
+        handler, so no handler outlives the event loop."""
         self._closing = True
         self.close()
-        while self._connections:
-            connections = list(self._connections)
-            for task in connections:
-                task.cancel()
-            await asyncio.gather(*connections, return_exceptions=True)
+        while self._connections or self._tasks:
+            for conn in list(self._connections):
+                conn._shut()
+            if self._tasks:
+                await asyncio.gather(*self._tasks, return_exceptions=True)
+            else:
+                await asyncio.sleep(0)  # connection_lost runs next
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
@@ -214,95 +480,3 @@ class LineServer:
             f"{self._name} overloaded; retry in {retry_after:g}s",
             retry_after_s=retry_after,
         )
-
-    def _accept(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        # Our own task rather than a coroutine callback: asyncio's done
-        # callback for those calls task.exception(), which raises on the
-        # cancellation aclose() delivers.
-        task = asyncio.ensure_future(self._serve(reader, writer))
-        self._connections.add(task)
-        task.add_done_callback(self._connections.discard)
-
-    async def _serve(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        counters = self._counters
-        counters.connections_opened += 1
-        owned: Set[str] = set()
-        loop = asyncio.get_running_loop()
-        transport = writer.transport
-        deadline: Optional[_IdleDeadline] = None
-
-        async def send(line: bytes) -> None:
-            # A reader that stops consuming must not wedge this handler.
-            writer.write(line)
-            await bounded_drain(writer, self._drain_timeout_s)
-
-        try:
-            await send(self._hello)
-            deadline = _IdleDeadline(loop, self._idle_timeout_s, transport)
-            while not self._closing:
-                deadline.reading_since = loop.time()
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await send(protocol.encode_reply(ErrorReply(
-                        0, protocol.E_BAD_REQUEST, "request line too long",
-                    )))
-                    counters.errors += 1
-                    # Framing is lost, but closing with the rest of the
-                    # line unread makes the kernel reset the connection,
-                    # which can destroy the error line before the client
-                    # reads it.  Half-close, and read the input away
-                    # until the client closes (or the deadline passes).
-                    writer.write_eof()
-                    deadline.reading_since = loop.time()
-                    while await reader.read(1 << 16):
-                        pass
-                    break
-                deadline.reading_since = None
-                if not line:
-                    break
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    request = protocol.decode_request(stripped)
-                except ProtocolError as exc:
-                    counters.errors += 1
-                    await send(protocol.encode_reply(
-                        ErrorReply(0, exc.code, str(exc))
-                    ))
-                    continue
-                shed = self.shed_reply(request)
-                if shed is not None:
-                    await send(protocol.encode_reply(shed))
-                    continue
-                # In flight from decode to drained reply: the interval
-                # the admission watermark measures.
-                self._guard.begin()
-                try:
-                    await self._respond(request, owned, send)
-                finally:
-                    self._guard.end()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except (asyncio.TimeoutError, TimeoutError):
-            # A reply did not drain in time: drop the connection rather
-            # than wait for the client to take what it left unread.
-            counters.timeouts += 1
-            transport.abort()
-        finally:
-            if deadline is not None:
-                deadline.cancel()
-                if deadline.expired:
-                    counters.timeouts += 1
-            self._detach(owned)
-            counters.connections_closed += 1
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass

@@ -243,9 +243,8 @@ class ObserveRequest:
         if "session" not in payload or "block" not in payload:
             raise ProtocolError("observe requires 'session' and 'block'")
         seq = payload.get("seq")
-        return cls(id=id, session=str(payload["session"]),
-                   block=int(payload["block"]),
-                   seq=int(seq) if seq is not None else None)
+        return cls(id, str(payload["session"]), int(payload["block"]),
+                   int(seq) if seq is not None else None)
 
 
 @dataclass(frozen=True)
@@ -407,11 +406,8 @@ class ObserveReply:
 
     @classmethod
     def from_payload(cls, id: int, payload: Dict[str, Any]) -> "ObserveReply":
-        return cls(
-            id=id,
-            session=str(payload["session"]),
-            advice=PrefetchAdvice.from_dict(payload["advice"]),
-        )
+        return cls(id, str(payload["session"]),
+                   PrefetchAdvice.from_dict(payload["advice"]))
 
 
 @dataclass(frozen=True)
@@ -516,10 +512,74 @@ def _parse_line(line: Union[str, bytes]) -> Dict[str, Any]:
     return obj
 
 
+#: ``json.dumps(obj, separators=(",", ":"))`` without a new encoder per
+#: call: the same settings, so the same bytes.
+_JSON = json.JSONEncoder(separators=(",", ":"))
+#: The string escaper that encoder uses (``ensure_ascii``), quotes included.
+_quote = json.encoder.encode_basestring_ascii
+#: ``json`` spells the non-finite floats its own way (``allow_nan``).
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(value: float) -> str:
+    text = float.__repr__(value)
+    return _FLOAT_WORDS.get(text, text)
+
+
+#: JSON text of a plain scalar, as ``json`` writes it, by exact type; any
+#: other type (``bool`` included) raises ``KeyError`` and takes the
+#: general encoder.
+_SCALAR = {int: int.__repr__, float: _float, str: _quote}
+
+
+def _observe_request_line(request: ObserveRequest) -> str:
+    scalar = _SCALAR
+    seq = request.seq
+    tail = "" if seq is None else f',"seq":{scalar[type(seq)](seq)}'
+    return (
+        f'{{"v":{PROTOCOL_VERSION},"cmd":"observe",'
+        f'"id":{scalar[type(request.id)](request.id)},'
+        f'"session":{scalar[type(request.session)](request.session)},'
+        f'"block":{scalar[type(request.block)](request.block)}{tail}}}\n'
+    )
+
+
+def _observe_reply_line(reply: ObserveReply) -> str:
+    scalar = _SCALAR
+    advice = reply.advice
+    if type(advice) is not PrefetchAdvice:
+        raise KeyError(advice)
+    prefetch = ",".join([
+        f'{{"block":{scalar[type(d.block)](d.block)},'
+        f'"probability":{scalar[type(d.probability)](d.probability)},'
+        f'"depth":{scalar[type(d.depth)](d.depth)},'
+        f'"tag":{scalar[type(d.tag)](d.tag)}}}'
+        for d in advice.prefetch
+    ])
+    return (
+        f'{{"v":{PROTOCOL_VERSION},"cmd":"observe",'
+        f'"id":{scalar[type(reply.id)](reply.id)},"ok":true,'
+        f'"session":{scalar[type(reply.session)](reply.session)},'
+        f'"advice":{{"block":{scalar[type(advice.block)](advice.block)},'
+        f'"period":{scalar[type(advice.period)](advice.period)},'
+        f'"outcome":{scalar[type(advice.outcome)](advice.outcome)},'
+        f'"stall_ms":{scalar[type(advice.stall_ms)](advice.stall_ms)},'
+        f'"prefetch":[{prefetch}],'
+        f'"s":{scalar[type(advice.s)](advice.s)}}}}}\n'
+    )
+
+
 def encode_request(request: Request) -> bytes:
+    if type(request) is ObserveRequest:
+        # The hot line, formatted field by field: the same bytes as the
+        # general path, which still takes any field of another type.
+        try:
+            return _observe_request_line(request).encode()
+        except KeyError:
+            pass
     obj = {"v": PROTOCOL_VERSION, "cmd": request.cmd, "id": request.id}
     obj.update(request.payload())
-    return (json.dumps(obj, separators=(",", ":")) + "\n").encode("utf-8")
+    return (_JSON.encode(obj) + "\n").encode("utf-8")
 
 
 def decode_request(line: Union[str, bytes]) -> Request:
@@ -542,10 +602,15 @@ def decode_request(line: Union[str, bytes]) -> Request:
 
 
 def encode_reply(reply: Reply) -> bytes:
+    if type(reply) is ObserveReply:
+        try:
+            return _observe_reply_line(reply).encode()
+        except KeyError:
+            pass
     obj = {"v": PROTOCOL_VERSION, "cmd": reply.cmd, "id": reply.id,
            "ok": reply.ok}
     obj.update(reply.payload())
-    return (json.dumps(obj, separators=(",", ":")) + "\n").encode("utf-8")
+    return (_JSON.encode(obj) + "\n").encode("utf-8")
 
 
 def decode_reply(line: Union[str, bytes]) -> Reply:

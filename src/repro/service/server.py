@@ -8,9 +8,11 @@ estimator — and are torn down with the connection that opened them.
 :class:`PrefetchService` is a handler on the shared connection core
 (:class:`~repro.service.lineserver.LineServer`, its ``endpoint``), which
 owns the listener, framing, timeouts, shedding and flow control.  Session
-work itself is synchronous pure-Python; the event loop interleaves
-connections between requests, which is the right trade for a
-model-driven advisor whose per-request work is microseconds.
+work itself is synchronous pure-Python, so every request is served and
+answered inside the connection's ``data_received``, with no coroutine;
+the event loop interleaves connections between requests, which is the
+right trade for a model-driven advisor whose per-request work is
+microseconds.
 """
 
 from __future__ import annotations
@@ -24,15 +26,25 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - tracing and tenancy load lazily
     from repro.obs.trace import Tracer
+    from repro.tenancy.config import TenantSpec
     from repro.tenancy.manager import TenancyManager
 
 from repro.params import PAPER_PARAMS, SystemParams
 from repro.service import protocol
-from repro.service.lineserver import LineServer, Send
+from repro.service.lineserver import Connection, LineServer
 from repro.service.metrics import ServiceMetrics
 from repro.service.overload import (
     AdmissionGuard,
@@ -155,10 +167,8 @@ class PrefetchService:
         self._traces: Dict[str, str] = {}
         self.sessions: "OrderedDict[str, PrefetchSession]" = OrderedDict()
         #: Sessions whose connection vanished without CLOSE: id ->
-        #: (snapshot, tenant or None), LRU-bounded.
-        self.detached: "OrderedDict[str, Tuple[Snapshot, Optional[str]]]" = (
-            OrderedDict()
-        )
+        #: snapshot (its provenance names the tenant), LRU-bounded.
+        self.detached: "OrderedDict[str, Snapshot]" = OrderedDict()
         #: Sessions evicted to disk under memory pressure: id -> tenant (or
         #: None), consulted for transparent resurrection.
         self.evicted: Dict[str, Optional[str]] = {}
@@ -186,10 +196,8 @@ class PrefetchService:
 
     # ----------------------------------------------------------- dispatch
 
-    async def _respond(
-        self, request: Request, owned: Set[str], send: Send
-    ) -> None:
-        await send(protocol.encode_reply(self.handle(request, owned)))
+    def _respond(self, request: Request, conn: Connection) -> bytes:
+        return protocol.encode_reply(self.handle(request, conn.owned))
 
     def handle(self, request: Request, owned: Set[str]) -> Reply:
         """Serve one decoded request; ``owned`` is the connection's sessions."""
@@ -262,24 +270,9 @@ class PrefetchService:
                     "'tenant' and 'model' are mutually exclusive "
                     "(the tenant names its base model)",
                 )
-            from repro.tenancy.manager import (
-                TenantQuotaError,
-                UnknownTenantError,
-            )
-
-            try:
-                tenant_spec = self.tenancy.admit(request.tenant, self.sessions)
-            except UnknownTenantError as exc:
-                self.metrics.sessions_rejected += 1
-                return ErrorReply(request.id, protocol.E_BAD_REQUEST, str(exc))
-            except TenantQuotaError as exc:
-                self.metrics.sessions_rejected += 1
-                self.metrics.tenants_rejected += 1
-                self.metrics.record_tenant(request.tenant, "sessions_rejected")
-                return ErrorReply(
-                    request.id, protocol.E_QUOTA, str(exc),
-                    retry_after_s=exc.retry_after_s,
-                )
+            tenant_spec = self._admit(request, request.tenant)
+            if isinstance(tenant_spec, ErrorReply):
+                return tenant_spec
         if request.resume is not None:
             return self._handle_resume(request, owned)
         try:
@@ -328,6 +321,27 @@ class PrefetchService:
             request, session, owned,
             tenant=request.tenant if tenant_spec is not None else None,
         )
+
+    def _admit(
+        self, request: OpenRequest, tenant: str
+    ) -> Union["TenantSpec", ErrorReply]:
+        """Worker-side tenant admission for one OPEN or resume: the
+        tenant's spec, or the refusal to send."""
+        from repro.tenancy.manager import TenantQuotaError, UnknownTenantError
+
+        try:
+            return self.tenancy.admit(tenant, self.sessions)
+        except UnknownTenantError as exc:
+            self.metrics.sessions_rejected += 1
+            return ErrorReply(request.id, protocol.E_BAD_REQUEST, str(exc))
+        except TenantQuotaError as exc:
+            self.metrics.sessions_rejected += 1
+            self.metrics.tenants_rejected += 1
+            self.metrics.record_tenant(tenant, "sessions_rejected")
+            return ErrorReply(
+                request.id, protocol.E_QUOTA, str(exc),
+                retry_after_s=exc.retry_after_s,
+            )
 
     def _install_session(
         self,
@@ -407,7 +421,7 @@ class PrefetchService:
                 request.id, protocol.E_BAD_REQUEST,
                 f"unusable resume id {resume_id!r}",
             )
-        snapshot, tenant = self.detached.pop(resume_id, (None, None))
+        snapshot = detached = self.detached.pop(resume_id, None)
         if snapshot is None and self.checkpoint_dir is not None:
             path = os.path.join(self.checkpoint_dir, f"{resume_id}.snap")
             if os.path.exists(path):
@@ -430,14 +444,26 @@ class PrefetchService:
                 request.id, protocol.E_SESSION_ERROR,
                 f"cannot restore {resume_id!r}: {exc}",
             )
-        # A detached or budget-evicted session keeps its tenant binding
-        # across the gap, and a checkpointed overlay names its tenant; the
-        # resume supersedes the eviction record even when the new session
-        # gets a fresh id.
+        # A session keeps its tenant binding across the gap: the eviction
+        # record and the snapshot's provenance name it, and so does a
+        # checkpointed overlay.  The resume supersedes the eviction record
+        # even when the new session gets a fresh id.
+        evicted = resume_id in self.evicted
         evicted_tenant = self.evicted.pop(resume_id, None)
-        tenant = request.tenant or tenant or evicted_tenant
+        tenant = request.tenant
         if tenant is None and self.tenancy is not None:
-            tenant = self.tenancy.tenant_of_model(session)
+            tenant = evicted_tenant or snapshot.provenance.get("tenant")
+            if tenant not in self.tenancy.config.tenants:
+                tenant = self.tenancy.tenant_of_model(session)
+            if tenant is not None:
+                # The OPEN named no tenant, so nothing admitted it yet.
+                refusal = self._admit(request, tenant)
+                if isinstance(refusal, ErrorReply):
+                    if detached is not None:
+                        self.detached[resume_id] = detached
+                    if evicted:
+                        self.evicted[resume_id] = evicted_tenant
+                    return refusal
         self.metrics.sessions_resumed += 1
         return self._install_session(
             request, session, owned, resumed=True, tenant=tenant
@@ -811,10 +837,18 @@ class PrefetchService:
     def _snapshot(
         self, session_id: str, session: PrefetchSession, **flags: bool
     ) -> Snapshot:
-        """Snapshot ``session``; the provenance names it and its period."""
-        return snapshot_session(session, provenance={
+        """Snapshot ``session``; the provenance names it, its period and
+        the tenant it is bound to."""
+        provenance: Dict[str, Any] = {
             "session": session_id, "period": session.observations, **flags,
-        })
+        }
+        tenant = (
+            self.tenancy.tenant_of(session_id)
+            if self.tenancy is not None else None
+        )
+        if tenant is not None:
+            provenance["tenant"] = tenant
+        return snapshot_session(session, provenance=provenance)
 
     def _restore(self, snapshot: Snapshot) -> PrefetchSession:
         """Restore a detached, evicted or checkpointed session, rebinding
@@ -895,19 +929,18 @@ class PrefetchService:
                     del self.evicted[session_id]
                     self.metrics.sessions_closed += 1
                 continue
-            tenant = None
+            if not session.closed and session.observations > 0:
+                self.detached[session_id] = self._snapshot(
+                    session_id, session, detached=True
+                )
+                self.metrics.sessions_detached += 1
+                while len(self.detached) > self.limits.max_detached_sessions:
+                    self.detached.popitem(last=False)
             if self.tenancy is not None:
                 tenant = self.tenancy.tenant_of(session_id)
                 if tenant is not None:
                     self.metrics.record_tenant(tenant, "sessions_closed")
                 self.tenancy.unbind(session_id)
-            if not session.closed and session.observations > 0:
-                self.detached[session_id] = (
-                    self._snapshot(session_id, session, detached=True), tenant
-                )
-                self.metrics.sessions_detached += 1
-                while len(self.detached) > self.limits.max_detached_sessions:
-                    self.detached.popitem(last=False)
             session.close()
             self.metrics.sessions_closed += 1
         owned.clear()

@@ -107,18 +107,18 @@ class PrefetchAdvice:
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "PrefetchAdvice":
         return cls(
-            block=payload["block"],
-            period=int(payload["period"]),
-            outcome=str(payload["outcome"]),
-            stall_ms=float(payload["stall_ms"]),
-            prefetch=tuple(
+            payload["block"],
+            int(payload["period"]),
+            str(payload["outcome"]),
+            float(payload["stall_ms"]),
+            tuple([
                 PrefetchDecision(
                     d["block"], float(d["probability"]), int(d["depth"]),
                     str(d["tag"]),
                 )
                 for d in payload["prefetch"]
-            ),
-            s=float(payload["s"]),
+            ]),
+            float(payload["s"]),
         )
 
 

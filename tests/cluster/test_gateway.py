@@ -7,12 +7,18 @@ explicitly — the subprocess supervisor has its own tests in
 """
 
 import asyncio
+import json
 
 import pytest
 
 from repro.cluster import AdvisoryGateway, StaticWorkerDirectory
+from repro.cluster.gateway import _WorkerLink
 from repro.service import protocol
-from repro.service.client import AsyncServiceClient, ServiceError
+from repro.service.client import (
+    AsyncServiceClient,
+    ServiceClient,
+    ServiceError,
+)
 from repro.service.faults import ChaosProxy, FaultPlan
 from repro.service.server import BackgroundServer, PrefetchService
 from repro.service.session import PrefetchSession
@@ -490,6 +496,218 @@ class TestChaosBetweenGatewayAndWorker:
         assert proxy_stats.resets_injected > 0  # chaos actually fired
         assert gateway_stats.sessions_lost == 0
 
+    @pytest.mark.parametrize("fault", ["garbage_every", "truncate_every"])
+    def test_garbage_or_cut_reply_fails_over(self, fault):
+        """A worker reply that does not parse, or is cut mid-line, on the
+        OBSERVE fast path tears the link down, counts a breaker failure
+        and fails the session over; the client sees clean advice."""
+        blocks = _blocks(120)
+
+        async def scenario():
+            async with _Fleet(2) as fleet:
+                gateway = fleet.gateway
+                owner = gateway.ring.owner("g1")
+                # Lines from the owner: HELLO, the OPEN reply, then
+                # OBSERVE replies; the 30th line is the faulty one.
+                plan = FaultPlan(**{fault: 30})
+                behind = fleet.workers[owner].port
+                async with ChaosProxy(port=behind, plan=plan) as proxy:
+                    fleet.directory.register(owner, "127.0.0.1", proxy.port)
+                    async with await AsyncServiceClient.connect(
+                        port=gateway.endpoint.port
+                    ) as client:
+                        sid = await client.open(
+                            policy="tree", cache_size=CACHE
+                        )
+                        got = [
+                            (await client.observe(sid, block)).as_dict()
+                            for block in blocks
+                        ]
+                moved_to = gateway.sessions[sid].worker_id
+                failures = gateway._breaker(owner).failures
+                return got, owner, moved_to, failures, proxy.stats, (
+                    gateway.stats
+                )
+
+        got, owner, moved_to, failures, proxy, stats = asyncio.run(
+            scenario()
+        )
+        assert got == _fault_free_advice(blocks)
+        assert proxy.garbage_injected + proxy.truncations_injected == 1
+        assert failures == 1
+        assert moved_to != owner
+        assert stats.failovers_rebuilt == 1
+        assert stats.sessions_lost == 0
+
+
+class TestSharedSession:
+    def test_concurrent_observes_on_one_session_fold_once_each(self):
+        """Four connections OBSERVE one session at once, so the fast path
+        and the coroutine path take turns on the session's lock: every
+        request folds exactly once, with its own seq, and the journal
+        records each block at the period the worker folded it."""
+
+        async def scenario():
+            async with _Fleet(1) as fleet:
+                port = fleet.gateway.endpoint.port
+                clients = [
+                    await AsyncServiceClient.connect(port=port)
+                    for _ in range(4)
+                ]
+                sid = await clients[0].open(policy="tree", cache_size=CACHE)
+
+                async def stream(client, offset):
+                    return [
+                        await client.observe(sid, offset * 1000 + i)
+                        for i in range(50)
+                    ]
+
+                try:
+                    replies = await asyncio.wait_for(asyncio.gather(*(
+                        stream(client, k) for k, client in enumerate(clients)
+                    )), 30.0)
+                finally:
+                    for client in clients:
+                        await client.aclose()
+                session = fleet.gateway.sessions[sid]
+                folded = fleet.workers["w0"].service.sessions[sid]
+                return (
+                    [a for per_client in replies for a in per_client],
+                    session.journal_offset, list(session.journal),
+                    folded.observations,
+                )
+
+        advice, offset, journal, folded = asyncio.run(scenario())
+        assert folded == len(journal) == len(advice) == 200
+        periods = sorted(a.period for a in advice)
+        assert periods == list(range(periods[0], periods[0] + 200))
+        for a in advice:
+            assert journal[a.period - periods[0]] == a.block
+        assert offset == 0
+
+
+class TestClientIsolation:
+    def test_a_line_that_raises_ends_only_its_own_connection(self):
+        """A line the decoder cannot handle (an unhashable ``cmd`` raises
+        TypeError), held behind a client's OBSERVE, is served as the
+        worker's reply is relayed, inside the worker link's callback.  It
+        ends that client's connection alone: another client streaming on
+        the same worker keeps its worker and clean advice, and the
+        breaker counts no failure."""
+        blocks = _blocks(300)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(lambda _, context: reported.append(
+                (context["message"], type(context.get("exception")))
+            ))
+            async with _Fleet(2) as fleet:
+                gateway = fleet.gateway
+                port = gateway.endpoint.port
+                streamer = await AsyncServiceClient.connect(port=port)
+                sid = await streamer.open(policy="tree", cache_size=CACHE)
+                worker = gateway.sessions[sid].worker_id
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                await reader.readline()  # HELLO
+                other = None
+                while other is None or (
+                    gateway.sessions[other].worker_id != worker
+                ):
+                    writer.write(protocol.encode_request(
+                        protocol.OpenRequest(id=1, policy="no-prefetch")
+                    ))
+                    other = json.loads(await reader.readline())["session"]
+
+                async def stream():
+                    return [
+                        (await streamer.observe(sid, block)).as_dict()
+                        for block in blocks
+                    ]
+
+                streaming = asyncio.ensure_future(stream())
+                while gateway.sessions[sid].next_seq < 50:
+                    await asyncio.sleep(0.001)
+                writer.write(protocol.encode_request(
+                    protocol.ObserveRequest(id=2, session=other, block=7)
+                ) + b'{"v":3,"cmd":[1],"id":3}\n')
+                lines = []
+                try:
+                    while line := await asyncio.wait_for(
+                        reader.readline(), 10.0
+                    ):
+                        lines.append(json.loads(line))
+                except ConnectionResetError:
+                    pass
+                except asyncio.TimeoutError:
+                    lines.append("still open")
+                writer.close()
+                try:
+                    got = await asyncio.wait_for(streaming, 30.0)
+                finally:
+                    await streamer.aclose()
+                return (
+                    got, lines, worker, gateway.sessions[sid].worker_id,
+                    gateway._breaker(worker).failures, gateway.stats,
+                    reported,
+                )
+
+        got, lines, worker, now_on, failures, stats, reported = asyncio.run(
+            scenario()
+        )
+        assert now_on == worker
+        assert failures == 0
+        assert stats.failovers_resumed + stats.failovers_rebuilt == 0
+        assert got == _fault_free_advice(blocks)
+        assert "still open" not in lines
+        assert [line["cmd"] for line in lines] in ([], ["observe"])
+        assert reported == [("error serving a request line", TypeError)]
+
+
+class TestWorkerLink:
+    def test_worker_closing_right_after_hello_fails_each_request(self):
+        """A worker that greets and closes at once (a draining one, say)
+        fails every request with ConnectionError: the link never keeps a
+        connection that is already gone, so no request waits on it for
+        good."""
+        hello = protocol.encode_reply(protocol.HelloReply(id=0))
+
+        async def scenario():
+            async def greet_and_close(reader, writer):
+                writer.write(hello)
+                writer.close()
+
+            server = await asyncio.start_server(
+                greet_and_close, "127.0.0.1", 0
+            )
+            port = server.sockets[0].getsockname()[1]
+            link = _WorkerLink(
+                "w0", lambda: ("127.0.0.1", port), timeout_s=0.5
+            )
+            request = protocol.encode_request(protocol.StatsRequest(id=1))
+            outcomes = []
+            try:
+                for _ in range(5):
+                    try:
+                        await asyncio.wait_for(link.request(request), 3.0)
+                        outcomes.append("reply")
+                    except ConnectionError:
+                        outcomes.append("lost")
+                    except asyncio.TimeoutError:
+                        outcomes.append("hung")
+                connected = link.connected
+            finally:
+                await link.aclose()
+                server.close()
+                await server.wait_closed()
+            return outcomes, connected
+
+        outcomes, connected = asyncio.run(scenario())
+        assert outcomes == ["lost"] * 5
+        assert not connected
+
 
 class TestFleetStats:
     def test_server_level_stats_aggregates_workers(self):
@@ -533,16 +751,20 @@ class TestFleetStats:
 
 
 class TestServingPathCost:
-    def test_requests_arm_no_timer_and_start_no_task(self):
-        """The idle, drain and worker-reply bounds cost nothing per
-        request: with a worker and a gateway on one event loop, 200
-        OBSERVEs through the gateway arm no timer and start no task
-        each (counted, not timed)."""
+    """The idle, drain and worker-reply bounds and the serving path
+    itself cost nothing per request: 200 OBSERVEs arm no timer and make
+    no task or future each (counted, not timed).  A blocking client on
+    another thread drives them, so the event loop counts only server
+    work."""
+
+    NAMES = ("call_at", "create_task", "create_future")
+
+    def _check(self, flavor):
         blocks = _blocks(200)
 
         async def scenario():
             loop = asyncio.get_running_loop()
-            counts = {"call_at": 0, "create_task": 0}
+            counts = dict.fromkeys(self.NAMES, 0)
 
             def counting(name):
                 real = getattr(loop, name)
@@ -555,32 +777,48 @@ class TestServingPathCost:
 
             worker = PrefetchService(identity="w0")
             await worker.endpoint.start("127.0.0.1", 0)
-            directory = StaticWorkerDirectory()
-            directory.register("w0", "127.0.0.1", worker.endpoint.port)
-            gateway = AdvisoryGateway(directory)
-            await gateway.endpoint.start(port=0)
+            front = worker
+            if flavor == "gateway":
+                directory = StaticWorkerDirectory()
+                directory.register("w0", "127.0.0.1", worker.endpoint.port)
+                front = AdvisoryGateway(directory)
+                await front.endpoint.start(port=0)
+            client = await asyncio.to_thread(
+                ServiceClient.connect, port=front.endpoint.port
+            )
             try:
-                async with await AsyncServiceClient.connect(
-                    port=gateway.endpoint.port
-                ) as client:
-                    session = await client.open(
-                        policy="tree", cache_size=CACHE
-                    )
-                    counting("call_at")  # call_later arms through it
-                    counting("create_task")  # so does ensure_future
-                    try:
-                        for block in blocks:
-                            await client.observe(session, block)
-                    finally:
-                        del loop.call_at, loop.create_task
-            finally:
-                await gateway.aclose()
-                await worker.aclose()
-            return counts
+                session = await asyncio.to_thread(
+                    client.open, policy="tree", cache_size=CACHE
+                )
 
-        counts = asyncio.run(scenario())
-        assert counts["call_at"] <= 10, counts
-        assert counts["create_task"] <= 10, counts
+                def observe_all():
+                    return [client.observe(session, b) for b in blocks]
+
+                for name in self.NAMES:  # call_later arms through call_at,
+                    counting(name)       # ensure_future through create_task
+                try:
+                    advice = await asyncio.to_thread(observe_all)
+                finally:
+                    for name in self.NAMES:
+                        delattr(loop, name)
+            finally:
+                client.close()
+                if front is not worker:
+                    await front.aclose()
+                await worker.aclose()
+            return counts, advice
+
+        counts, advice = asyncio.run(scenario())
+        assert [a.as_dict() for a in advice] == _fault_free_advice(blocks)
+        for name in self.NAMES:
+            assert counts[name] <= 10, counts
+
+    def test_requests_arm_no_timer_and_start_no_task(self):
+        """Through a gateway and its worker on one event loop."""
+        self._check("gateway")
+
+    def test_bare_worker_requests_arm_no_timer_and_start_no_task(self):
+        self._check("bare")
 
 
 class TestJournalCompaction:

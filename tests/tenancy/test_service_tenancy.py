@@ -305,6 +305,58 @@ class TestResumeBindsTenant:
         restarted = make_service(store, tmp_path, tenants=self.TENANTS)
         self._assert_resume_is_bound(restarted, sid)
 
+    def test_resume_past_the_quota_is_refused_and_kept(self, store, tmp_path):
+        """The tenant a resume infers is admitted like a named one: with
+        the quota's one slot taken meanwhile, the resume is refused and
+        the detached state kept for a later try."""
+        service, owned, sid = self._served(store, tmp_path)
+        service.drop_connection_sessions(owned)
+        other = set()
+        taken = open_tenant(service, other, "acme", request_id=300)
+        assert isinstance(taken, OpenReply)
+        refusal = service.handle(OpenRequest(id=301, resume=sid), set())
+        assert isinstance(refusal, ErrorReply), refusal
+        assert refusal.error == protocol.E_QUOTA
+        assert refusal.retry_after_s == 1.0
+        gauges = service.handle(StatsRequest(id=302), other).stats["tenants"]
+        assert gauges["acme"]["sessions"] == 1
+        assert sid in service.detached
+        service.handle(CloseRequest(id=303, session=taken.session), other)
+        self._assert_resume_is_bound(service, sid)
+
+    def test_resume_of_a_budgeted_base_session_after_restart(
+        self, tmp_path
+    ):
+        """A base with a node budget is served as private copies, which
+        carry no base ref; the checkpoint's provenance still names the
+        tenant, so the resume binds to it and counts against its quota."""
+        store = ModelStore(str(tmp_path / "capped-store"))
+        tree = PrefetchTree(max_nodes=100000)
+        tree.record_all(lcg_trace(3000, seed=5, universe=40))
+        store.save("capped", model_snapshot(tree, base=True))
+        tenants = {"tiny": {"model": "capped", "max_sessions": 1}}
+        service = make_service(store, tmp_path, tenants=tenants)
+        owned = set()
+        sid = open_tenant(service, owned, "tiny").session
+        for seq, block in enumerate(lcg_trace(100, seed=9)):
+            service.handle(
+                ObserveRequest(id=10 + seq, session=sid, block=block,
+                               seq=seq),
+                owned,
+            )
+        assert service.checkpoint_sessions(service.checkpoint_dir) == 1
+        restarted = make_service(store, tmp_path, tenants=tenants)
+        owned = set()
+        reply = restarted.handle(OpenRequest(id=500, resume=sid), owned)
+        assert isinstance(reply, OpenReply), reply
+        assert reply.resumed and reply.period == 100
+        assert restarted.tenancy.tenant_of(reply.session) == "tiny"
+        stats = restarted.handle(StatsRequest(id=501), owned).stats
+        assert stats["tenants"]["tiny"]["sessions"] == 1
+        second = open_tenant(restarted, owned, "tiny", request_id=502)
+        assert isinstance(second, ErrorReply)
+        assert second.error == protocol.E_QUOTA
+
 
 @pytest.mark.parametrize("policy,kwargs", PARITY_POLICIES,
                          ids=[name for name, _ in PARITY_POLICIES])
