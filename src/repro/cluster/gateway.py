@@ -34,12 +34,14 @@ closing sessions and from compaction against durable checkpoints.
 Client connections run on the same connection core as a worker
 (:class:`~repro.service.lineserver.LineServer`, the gateway's
 ``endpoint``): one request at a time per client connection.  Per-session
-locks serialize cross-connection access and failover.  An OBSERVE on a
-session nothing else holds, whose worker's breaker is closed and whose
-link is connected, is relayed by callbacks alone (:meth:`AdvisoryGateway.
-_relay`): forwarded from the client connection's ``data_received`` and
-answered from the worker link's.  Everything else, and an OBSERVE whose
-reply is late, garbage or ``unknown_session``, runs as a coroutine.
+locks serialize cross-connection access and failover.  Every OBSERVE is
+relayed by callbacks alone (:meth:`AdvisoryGateway._relay`): forwarded
+as soon as its session's lock is its own (a busy session hands the lock
+over, oldest waiter first) and answered from the worker link's
+``data_received``.  It continues as a coroutine only to connect a link
+that is down or fail fast on a breaker that is not closed, to fail over
+after a late, garbage or ``unknown_session`` reply, and to compact the
+journal.  OPEN, STATS and CLOSE run as coroutines.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import json
 import os
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -73,7 +75,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.cluster.worker import WorkerDirectory
 from repro.service import protocol
-from repro.service.client import ResumeParityError, recover_session
+from repro.service.client import (
+    ReplyCallback,
+    ResumeParityError,
+    ServiceError,
+    Upstream,
+    recover_session,
+)
 from repro.service.lineserver import Connection, LineServer
 from repro.service.metrics import _COUNTER_FIELDS, ServiceMetrics
 from repro.service.overload import (
@@ -126,116 +134,36 @@ class GatewayStats:
     journal_compactions: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "connections_opened": self.connections_opened,
-            "connections_closed": self.connections_closed,
-            "sessions_opened": self.sessions_opened,
-            "sessions_resumed": self.sessions_resumed,
-            "sessions_reattached": self.sessions_reattached,
-            "sessions_closed": self.sessions_closed,
-            "sessions_orphaned": self.sessions_orphaned,
-            "failovers_resumed": self.failovers_resumed,
-            "failovers_rebuilt": self.failovers_rebuilt,
-            "sessions_lost": self.sessions_lost,
-            "tenants_rejected": self.tenants_rejected,
-            "errors": self.errors,
-            "timeouts": self.timeouts,
-            "overload_rejections": self.overload_rejections,
-            "breakers_opened": self.breakers_opened,
-            "breakers_closed": self.breakers_closed,
-            "journal_compactions": self.journal_compactions,
-        }
+        return asdict(self)
 
 
-#: A request's continuation on the worker link: ``(reply line, its
-#: JSON object)``, or ``(None, error)`` when the link fails before the
-#: reply arrives.
-Relay = Callable[[Optional[bytes], Any], None]
+def _unknown_session(request: Request) -> ErrorReply:
+    return ErrorReply(
+        request.id, protocol.E_UNKNOWN_SESSION,
+        f"unknown session {request.session!r}",  # type: ignore[union-attr]
+    )
 
 
-class _Upstream(asyncio.Protocol):
-    """One live worker socket and its FIFO of requests in flight.
-
-    Each entry is ``(deadline, waiter)``, the waiter a :data:`Relay`
-    callback that ``data_received`` hands the reply to.
-    """
-
-    def __init__(self, link: "_WorkerLink") -> None:
-        self._link = link
-        self.loop = asyncio.get_running_loop()
-        self.transport: Optional[asyncio.Transport] = None
-        self.greeted = self.loop.create_future()
-        """Resolved by the worker's HELLO line."""
-        self.pending: Deque[Tuple[float, Relay]] = deque()
-        #: The one reply timer, armed while requests are in flight.
-        self.timer: Optional[asyncio.TimerHandle] = None
-        self.lost = False
-        self._buffer = b""
-
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        self.transport = transport  # type: ignore[assignment]
-
-    def data_received(self, data: bytes) -> None:
-        link = self._link
-        buffer = self._buffer + data if self._buffer else data
-        start = 0
-        while not self.lost:
-            end = buffer.find(b"\n", start)
-            if end < 0:
-                break
-            line = buffer[start:end + 1]
-            start = end + 1
-            if not self.greeted.done():
-                self.greeted.set_result(None)
-                continue
-            if not self.pending:
-                link._teardown(self)  # unsolicited reply: FIFO broken
-                return
-            try:
-                reply = json.loads(line)
-            except ValueError:
-                reply = None
-            if type(reply) is not dict:
-                # Garbage: nothing after it can be trusted to line up.
-                link._teardown(self, ConnectionError(
-                    f"worker {link.worker_id} sent an undecodable reply"
-                ))
-                return
-            _, waiter = self.pending.popleft()
-            waiter(line, reply)
-        self._buffer = buffer = buffer[start:] if start else buffer
-        if len(buffer) > link._limit:
-            link._teardown(self)
-
-    def connection_lost(self, exc: Optional[Exception]) -> None:
-        if not self.greeted.done():
-            self.greeted.set_exception(ConnectionError(
-                f"worker {self._link.worker_id} closed during HELLO"
-            ))
-        self._link._teardown(self)
+def _reply_object(line: bytes) -> Dict[str, Any]:
+    """A worker's reply line as its JSON object: all the relay reads of
+    it is ``ok`` and ``cmd``."""
+    reply = json.loads(line)
+    if type(reply) is not dict:
+        raise ValueError("a reply must be a JSON object")
+    return reply
 
 
 class _WorkerLink:
-    """Pipelined request/reply multiplexer over one worker connection.
+    """The gateway's pipelined connection to one worker.
 
-    Requests from many client connections share one upstream socket;
-    because the worker answers strictly in order, replies are matched to
-    requests FIFO.  That invariant is also the fragility: a reply that
-    times out or fails to parse means the stream can no longer be
-    trusted to line up, so the *connection is torn down* — never skipped
-    past — and every request in flight fails with ``ConnectionError``,
-    which the gateway turns into failover.
-
-    Every reply goes to its request's callback from the socket's
-    ``data_received``: the OBSERVE fast path's own (:meth:`relay`), or
-    one that resolves the future a coroutine awaits (:meth:`request`).
-    A torn-down connection is never cached, so the next request
-    reconnects.  Each request's reply is due
-    ``timeout_s`` after it is sent.  The deadlines ride the pending FIFO,
-    so the oldest is always at its head, and one timer per connection
-    enforces them (:meth:`_expire`): a request arms no timer of its own.
-    A worker that stops reading also stops answering, so the same
-    deadline bounds a write the worker never takes.
+    Requests from many client connections share one
+    :class:`~repro.service.client.Upstream`, which matches replies to
+    requests FIFO, gives each reply ``timeout_s`` and tears the
+    connection down, failing every request in flight with
+    ``ConnectionError`` (or ``TimeoutError``), once the stream cannot be
+    trusted to line up; the gateway turns that into failover.  The link
+    keeps the connection while it lives and connects anew for the next
+    request once it is gone.
     """
 
     def __init__(
@@ -250,163 +178,89 @@ class _WorkerLink:
         self._resolve = resolve
         self._timeout_s = timeout_s
         self._limit = limit
-        self._upstream: Optional[_Upstream] = None
+        self._upstream: Optional[Upstream] = None
         self._connecting = asyncio.Lock()
 
     @property
     def connected(self) -> bool:
-        return self._upstream is not None
+        return self._upstream is not None and not self._upstream.lost
 
-    async def _connect(self) -> _Upstream:
+    async def _connect(self) -> Upstream:
         endpoint = self._resolve()
         if endpoint is None:
             raise ConnectionError(f"worker {self.worker_id} is down")
-        host, port = endpoint
-        upstream = _Upstream(self)
-        await asyncio.wait_for(
-            upstream.loop.create_connection(lambda: upstream, host, port),
-            self._timeout_s,
-        )
         try:
-            await asyncio.wait_for(upstream.greeted, self._timeout_s)
-        except BaseException:
-            self._teardown(upstream)
-            raise
-        if upstream.lost:
-            # HELLO, then a close (a draining worker, say) that ran
-            # before this coroutine resumed: the link is already gone.
+            return await Upstream.connect(
+                *endpoint, _reply_object, timeout_s=self._timeout_s,
+                name=f"worker {self.worker_id}", limit=self._limit,
+            )
+        except (ProtocolError, ServiceError, asyncio.TimeoutError) as exc:
             raise ConnectionError(
-                f"worker {self.worker_id} closed after HELLO"
-            )
-        return upstream
-
-    def _teardown(
-        self, upstream: Optional[_Upstream],
-        error: Optional[Exception] = None,
-    ) -> None:
-        """Drop ``upstream``, failing its oldest request with ``error``
-        and the rest as lost."""
-        if upstream is None:
-            return
-        if self._upstream is upstream:
-            self._upstream = None
-        if upstream.lost:
-            return
-        upstream.lost = True
-        if upstream.timer is not None:
-            upstream.timer.cancel()
-            upstream.timer = None
-        if upstream.transport is not None:
-            upstream.transport.abort()
-        while upstream.pending:
-            _, waiter = upstream.pending.popleft()
-            exc = error or ConnectionError(
-                f"worker {self.worker_id} connection lost"
-            )
-            error = None
-            waiter(None, exc)
-
-    def _expire(self, upstream: _Upstream) -> None:
-        """The reply timer fired: re-arm it at the oldest deadline, or,
-        if the oldest request is overdue, tear the connection down.
-
-        A late reply would be matched to the wrong request; the only safe
-        recovery is a fresh connection.  An idle connection keeps no
-        timer: the next request arms one.
-        """
-        upstream.timer = None
-        if not upstream.pending:
-            return
-        deadline = upstream.pending[0][0]
-        if upstream.loop.time() < deadline:
-            upstream.timer = upstream.loop.call_at(
-                deadline, self._expire, upstream
-            )
-            return
-        self._teardown(upstream, ConnectionError(
-            f"worker {self.worker_id} timed out"
-        ))
-
-    def _send(self, upstream: _Upstream, line: bytes, waiter: Relay) -> None:
-        if upstream.lost:
-            waiter(None, ConnectionError(
-                f"worker {self.worker_id} connection lost"
-            ))
-            return
-        # Queue and write in one step, so the FIFO order is the wire's.
-        deadline = upstream.loop.time() + self._timeout_s
-        upstream.pending.append((deadline, waiter))
-        if upstream.timer is None:
-            upstream.timer = upstream.loop.call_at(
-                deadline, self._expire, upstream
-            )
-        upstream.transport.write(line)
+                f"worker {self.worker_id}: handshake failed ({exc!r})"
+            ) from None
 
     def invalidate(self) -> None:
-        """Drop the cached connection (worker restarted or went down)."""
-        self._teardown(self._upstream)
+        """Drop the connection (worker restarted or went down)."""
+        if self._upstream is not None:
+            self._upstream.close()
 
     async def request(self, line: bytes) -> bytes:
         """Send one NDJSON line; return the matching reply line."""
-        upstream = self._upstream
-        if upstream is None:
+        if not self.connected:
             async with self._connecting:
-                upstream = self._upstream
-                if upstream is None:
-                    upstream = self._upstream = await self._connect()
-        future = upstream.loop.create_future()
+                if not self.connected:
+                    self._upstream = await self._connect()
+        reply, _ = await self._upstream.request(line)
+        return reply
 
-        def settle(reply: Optional[bytes], parsed: Any) -> None:
-            if future.done():
-                return  # the caller was cancelled
-            if reply is None:
-                future.set_exception(parsed)
-            else:
-                future.set_result(reply)
-
-        self._send(upstream, line, settle)
-        return await future
-
-    def relay(self, line: bytes, relay: Relay) -> None:
+    def relay(self, line: bytes, relay: ReplyCallback) -> None:
         """Send one NDJSON line on the connected link; its reply goes to
         ``relay`` from ``data_received``."""
-        self._send(self._upstream, line, relay)
+        self._upstream.send(line, relay)
 
     async def aclose(self) -> None:
         self.invalidate()
 
 
 class _SessionLock:
-    """A session's mutual exclusion: ``async with`` as with
-    :class:`asyncio.Lock`, plus :meth:`try_acquire`, which lets the
-    OBSERVE fast path hold the session across a relay without awaiting.
-    A release hands the lock straight to the oldest waiter."""
+    """A session's mutual exclusion, handed from holder to holder.
+
+    :meth:`acquire` runs its callback once the lock is the caller's: at
+    once when it is free, else from the :meth:`release` that hands it
+    over, oldest waiter first.  So an OBSERVE holds its session across a
+    relay without awaiting, and one that finds the session busy waits
+    without a task.  ``async with`` queues a coroutine the same way.
+    """
 
     __slots__ = ("_held", "_waiters")
 
     def __init__(self) -> None:
         self._held = False
-        self._waiters: Deque[asyncio.Future] = deque()
+        self._waiters: Deque[Callable[[], None]] = deque()
 
-    def try_acquire(self) -> bool:
+    def acquire(self, then: Callable[[], None]) -> None:
         if self._held:
-            return False
+            self._waiters.append(then)
+            return
         self._held = True
-        return True
+        then()
 
     def release(self) -> None:
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            if not waiter.done():
-                waiter.set_result(None)  # still held, by the waiter now
-                return
-        self._held = False
+        if self._waiters:
+            self._waiters.popleft()()  # still held, by that waiter now
+        else:
+            self._held = False
 
     async def __aenter__(self) -> None:
-        if self.try_acquire():
-            return
         waiter = asyncio.get_running_loop().create_future()
-        self._waiters.append(waiter)
+
+        def wake() -> None:
+            if waiter.done():
+                self.release()  # cancelled while waiting: pass it on
+            else:
+                waiter.set_result(None)
+
+        self.acquire(wake)
         try:
             await waiter
         except asyncio.CancelledError:
@@ -423,7 +277,8 @@ class _GatewaySession:
 
     __slots__ = (
         "sid", "worker_id", "open_request", "opened", "journal",
-        "journal_offset", "orphaned", "closed", "lock", "tenant", "trace",
+        "journal_offset", "compact_mark", "orphaned", "closed", "lock",
+        "tenant", "trace",
     )
 
     def __init__(
@@ -447,6 +302,9 @@ class _GatewaySession:
         #: first saw it (0 unless resumed from an earlier life).
         self.journal: List[int] = []
         self.journal_offset = reply.period
+        #: Journal length after the last compaction attempt: the next
+        #: waits until the journal has grown by the bound again.
+        self.compact_mark = 0
         self.orphaned = False
         self.closed = False
         #: Trace id riding the session's OPEN (None when unsampled); the
@@ -596,9 +454,7 @@ class AdvisoryGateway:
         # The breaker just tripped: every session pinned to this worker
         # would now fail fast, so move them to ring successors eagerly —
         # the same treatment a directory down-event gets.
-        for session in list(self.sessions.values()):
-            if session.worker_id == worker_id and not session.closed:
-                self._spawn(self._failover_task(session, worker_id))
+        self._fail_over_all(worker_id)
 
     async def _worker_call(
         self, worker_id: str, request: Request
@@ -657,6 +513,9 @@ class AdvisoryGateway:
         self.ring.remove(worker_id)
         # Eager failover: don't wait for the next client request to
         # discover the death — move the dead worker's sessions now.
+        self._fail_over_all(worker_id)
+
+    def _fail_over_all(self, worker_id: str) -> None:
         for session in list(self.sessions.values()):
             if session.worker_id == worker_id and not session.closed:
                 self._spawn(self._failover_task(session, worker_id))
@@ -699,7 +558,7 @@ class AdvisoryGateway:
         """Forward on the session's worker, failing over once if it died.
 
         ``first`` is the outcome of an attempt already made (the OBSERVE
-        fast path's reply line or link error), settled here instead of
+        relay's reply line or link error), settled here instead of
         sending the request again.
         """
         worker_id = session.worker_id
@@ -842,7 +701,9 @@ class AdvisoryGateway:
         restores them from the snapshot), so once the shared checkpoint
         file reports period P the prefix below P is dead weight.  Reading
         the snapshot header is file I/O, hence ``to_thread``; a missing,
-        stale, or corrupt snapshot simply means no compaction yet.
+        stale, or corrupt snapshot simply means no compaction yet, and
+        the next attempt waits until the journal has grown by
+        ``journal_compact_after`` entries again (see :meth:`_journal`).
         Caller holds the session lock, so the offset cannot race a
         failover replay.
         """
@@ -861,6 +722,7 @@ class AdvisoryGateway:
         period = await asyncio.to_thread(_checkpoint_period)
         if period is not None:
             self._truncate_journal(session, period)
+        session.compact_mark = len(session.journal)
 
     # ------------------------------------------------------------- handlers
 
@@ -917,16 +779,9 @@ class AdvisoryGateway:
         if now - stamp < self.tenant_poll_interval_s:
             return cached
         totals: Dict[str, int] = {}
-        for worker_id in sorted(self.directory.endpoints()):
-            try:
-                _, reply = await self._worker_call(
-                    worker_id, StatsRequest(id=0, session=None)
-                )
-            except (ConnectionError, OSError):
-                continue
-            if not isinstance(reply, StatsReply):
-                continue
-            for name, gauge in dict(reply.stats.get("tenants") or {}).items():
+        _, _, worker_stats = await self._collect_worker_stats()
+        for stats in worker_stats.values():
+            for name, gauge in dict(stats.get("tenants") or {}).items():
                 totals[name] = (
                     totals.get(name, 0) + int(gauge.get("model_bytes", 0))
                 )
@@ -996,13 +851,19 @@ class AdvisoryGateway:
                 )
             raw, reply = await self._worker_call(worker_id, forward)
         if isinstance(reply, OpenReply):
-            session = _GatewaySession(sid, worker_id, forward, reply)
-            self.sessions[sid] = session
-            owned.add(sid)
+            self._place(sid, worker_id, forward, reply, owned)
             self.stats.sessions_opened += 1
-            if self.on_route is not None:
-                self.on_route(sid, worker_id)
         return raw, reply
+
+    def _place(
+        self, sid: str, worker_id: str, forward: OpenRequest,
+        reply: OpenReply, owned: Set[str],
+    ) -> None:
+        """Record a session a worker just opened for a client."""
+        self.sessions[sid] = _GatewaySession(sid, worker_id, forward, reply)
+        owned.add(sid)
+        if self.on_route is not None:
+            self.on_route(sid, worker_id)
 
     async def _handle_resume(
         self, request: OpenRequest, owned: Set[str]
@@ -1040,35 +901,9 @@ class AdvisoryGateway:
         )
         raw, reply = await self._worker_call(worker_id, forward)
         if isinstance(reply, OpenReply):
-            session = _GatewaySession(sid, worker_id, forward, reply)
-            self.sessions[sid] = session
-            owned.add(sid)
+            self._place(sid, worker_id, forward, reply, owned)
             self.stats.sessions_resumed += 1
-            if self.on_route is not None:
-                self.on_route(sid, worker_id)
         return raw, reply
-
-    async def _handle_observe(
-        self, request: ObserveRequest
-    ) -> Tuple[Optional[bytes], Reply]:
-        session = self.sessions.get(request.session)
-        if session is None or session.closed:
-            return None, ErrorReply(
-                request.id, protocol.E_UNKNOWN_SESSION,
-                f"unknown session {request.session!r}",
-            )
-        async with session.lock:
-            if session.closed:
-                return None, ErrorReply(
-                    request.id, protocol.E_UNKNOWN_SESSION,
-                    f"unknown session {request.session!r}",
-                )
-            forward, expected = self._tag(session, request)
-            trace_id = session.trace if self.tracer is not None else None
-            t0 = time.perf_counter() if trace_id is not None else 0.0
-            return await self._observe(
-                session, forward, expected, trace_id, t0
-            )
 
     @staticmethod
     def _tag(
@@ -1096,7 +931,8 @@ class AdvisoryGateway:
     ) -> bool:
         """Journal an acknowledged OBSERVE, unless the worker answered a
         duplicate from its cache; True when the journal is due for
-        :meth:`_compact_journal`."""
+        :meth:`_compact_journal`: it has grown by ``journal_compact_after``
+        entries since the last attempt."""
         if forward.seq != expected:
             return False
         t0 = time.perf_counter() if trace_id is not None else 0.0
@@ -1108,47 +944,9 @@ class AdvisoryGateway:
             )
         return (
             self.checkpoint_dir is not None
-            and len(session.journal) >= self.journal_compact_after
+            and len(session.journal) - session.compact_mark
+            >= self.journal_compact_after
         )
-
-    async def _observe(
-        self,
-        session: _GatewaySession,
-        forward: ObserveRequest,
-        expected: int,
-        trace_id: Optional[str],
-        t0: float,
-        first: Union[bytes, Exception, None] = None,
-    ) -> Tuple[bytes, Reply]:
-        """The coroutine path of one tagged OBSERVE; caller holds the
-        session lock.  Forwards it (or settles the fast path's attempt,
-        ``first``), failing over when it must, and journals the fold."""
-        raw, reply = await self._forward(session, forward, first)
-        if trace_id is not None:
-            self.tracer.record(
-                trace_id, "gateway.worker_rpc",
-                t0, time.perf_counter() - t0,
-                session=session.sid, worker=session.worker_id,
-            )
-        if isinstance(reply, ObserveReply) and self._journal(
-            session, forward, expected, trace_id
-        ):
-            await self._compact_journal(session)
-        return raw, reply
-
-    async def _handle_stats(
-        self, request: StatsRequest
-    ) -> Tuple[Optional[bytes], Reply]:
-        if request.session is None:
-            return None, await self._fleet_stats(request)
-        session = self.sessions.get(request.session)
-        if session is None or session.closed:
-            return None, ErrorReply(
-                request.id, protocol.E_UNKNOWN_SESSION,
-                f"unknown session {request.session!r}",
-            )
-        async with session.lock:
-            return await self._forward(session, request)
 
     async def fleet_metrics(
         self,
@@ -1257,21 +1055,16 @@ class AdvisoryGateway:
             fleet_state, extra_counters=extra, gauges=gauges
         )
 
-    async def _handle_close(
-        self, request, owned: Set[str]
+    async def _handle_session(
+        self, request: Request, owned: Set[str]
     ) -> Tuple[Optional[bytes], Reply]:
-        session = self.sessions.get(request.session)
+        """A per-session STATS or a CLOSE, forwarded holding the session."""
+        session = self.sessions.get(request.session)  # type: ignore
         if session is None or session.closed:
-            return None, ErrorReply(
-                request.id, protocol.E_UNKNOWN_SESSION,
-                f"unknown session {request.session!r}",
-            )
+            return None, _unknown_session(request)
         async with session.lock:
             if session.closed:
-                return None, ErrorReply(
-                    request.id, protocol.E_UNKNOWN_SESSION,
-                    f"unknown session {request.session!r}",
-                )
+                return None, _unknown_session(request)
             raw, reply = await self._forward(session, request)
             if isinstance(reply, CloseReply):
                 session.closed = True
@@ -1286,11 +1079,9 @@ class AdvisoryGateway:
     ) -> Tuple[Optional[bytes], Reply]:
         if isinstance(request, OpenRequest):
             return await self._handle_open(request, owned)
-        if isinstance(request, ObserveRequest):
-            return await self._handle_observe(request)
-        if isinstance(request, StatsRequest):
-            return await self._handle_stats(request)
-        return await self._handle_close(request, owned)
+        if isinstance(request, StatsRequest) and request.session is None:
+            return None, await self._fleet_stats(request)
+        return await self._handle_session(request, owned)
 
     # ----------------------------------------------------------- connection
 
@@ -1300,12 +1091,11 @@ class AdvisoryGateway:
         if type(request) is ObserveRequest:
             session = self.sessions.get(request.session)
             if session is None or session.closed:
-                return protocol.encode_reply(ErrorReply(
-                    request.id, protocol.E_UNKNOWN_SESSION,
-                    f"unknown session {request.session!r}",
-                ))
-            if self._relay(session, request, conn):
-                return None
+                return protocol.encode_reply(_unknown_session(request))
+            session.lock.acquire(functools.partial(
+                self._relay, session, request, conn,
+            ))
+            return None
         conn.defer(self._answer(
             request, functools.partial(self._dispatch, request, conn.owned),
             admitted=False,
@@ -1356,35 +1146,39 @@ class AdvisoryGateway:
         session: _GatewaySession,
         request: ObserveRequest,
         conn: Connection,
-    ) -> bool:
-        """The OBSERVE fast path: forward ``request`` and answer it from
-        the worker link's ``data_received``, with no task or future.
+    ) -> None:
+        """Every OBSERVE, once its session's lock is handed to it:
+        forward ``request`` and answer it from the worker link's
+        ``data_received``, with no task or future.
 
-        Taken only when nothing else holds the session, its worker's
-        breaker is closed and the link is connected; the caller takes
-        the coroutine path otherwise.  The session stays locked until
-        the reply is relayed (:meth:`_relayed`).
+        The session stays locked until the reply is relayed
+        (:meth:`_relayed`).  A request the link cannot take at once (it
+        is down, or its worker's breaker is not closed) goes on as a
+        coroutine that connects it or fails fast.
         """
-        worker_id = session.worker_id
-        breaker = self._breakers.get(worker_id)
-        link = self._links.get(worker_id)
-        if (
-            (breaker is not None and breaker.state != "closed")
-            or link is None
-            or not link.connected
-            or not session.lock.try_acquire()
-        ):
-            return False
+        if session.closed:  # closed or lost while the request waited
+            session.lock.release()
+            conn.finish(protocol.encode_reply(_unknown_session(request)))
+            return
         forward, expected = self._tag(session, request)
         trace_id = session.trace if self.tracer is not None else None
         t0 = 0.0
         if trace_id is not None:
             t0 = time.perf_counter()
             self.tracer.record(trace_id, "gateway.admission", t0, 0.0)
-        link.relay(protocol.encode_request(forward), functools.partial(
+        relayed = functools.partial(
             self._relayed, conn, session, forward, expected, trace_id, t0,
-        ))
-        return True
+        )
+        breaker = self._breakers.get(session.worker_id)
+        link = self._links.get(session.worker_id)
+        if (
+            link is None
+            or not link.connected
+            or (breaker is not None and breaker.state != "closed")
+        ):
+            relayed(None, None)
+            return
+        link.relay(protocol.encode_request(forward), relayed)
 
     def _relayed(
         self,
@@ -1397,13 +1191,14 @@ class AdvisoryGateway:
         line: Optional[bytes],
         reply: Any,
     ) -> None:
-        """A fast-path OBSERVE's reply (``line``, parsed as ``reply``), or
-        the link's error (``line`` None).
+        """An OBSERVE's reply (``line``, parsed as ``reply``), or the
+        link's error (``line`` None; ``reply`` None too when the request
+        was never sent).
 
         A healthy ObserveReply (``ok`` and ``cmd`` are enough) is
         journaled and its bytes written to the client here.  Anything
-        else, and a journal due for compaction, continues on the
-        coroutine path with the session still locked.
+        else, and a journal due for compaction, continues as a coroutine
+        with the session still locked (:meth:`_settle_relay`).
         """
         if line is None or not (
             reply.get("ok") is True and reply.get("cmd") == "observe"
@@ -1441,21 +1236,31 @@ class AdvisoryGateway:
         expected: int,
         trace_id: Optional[str],
         t0: float,
-        outcome: Union[bytes, Exception],
+        outcome: Union[bytes, Exception, None],
         *,
         journaled: bool = False,
     ) -> Tuple[bytes, Reply]:
-        """The coroutine half of the OBSERVE fast path, which still holds
-        the session lock: compact a journal that reached its bound, or
-        settle a reply that was not a healthy ObserveReply (failing over
-        when it must)."""
+        """The coroutine half of an OBSERVE, which still holds the session
+        lock: send a request the link could not take (``outcome`` None),
+        or settle a reply that was not a healthy ObserveReply, failing
+        over when it must and journaling the fold; then compact a journal
+        that reached its bound."""
+        reply = None
         try:
+            if not journaled:
+                outcome, reply = await self._forward(session, forward, outcome)
+                if trace_id is not None:
+                    self.tracer.record(
+                        trace_id, "gateway.worker_rpc",
+                        t0, time.perf_counter() - t0,
+                        session=session.sid, worker=session.worker_id,
+                    )
+                journaled = isinstance(reply, ObserveReply) and self._journal(
+                    session, forward, expected, trace_id
+                )
             if journaled:
                 await self._compact_journal(session)
-                return outcome, None  # type: ignore[return-value]
-            return await self._observe(
-                session, forward, expected, trace_id, t0, outcome
-            )
+            return outcome, reply  # type: ignore[return-value]
         finally:
             session.lock.release()
 

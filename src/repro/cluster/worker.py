@@ -285,15 +285,13 @@ class WorkerSupervisor(WorkerDirectory):
             )
 
     async def _probe(self, worker: _Worker) -> None:
-        """One server-level STATS round trip; raises when unhealthy."""
-        client = await asyncio.wait_for(
-            AsyncServiceClient.connect(self.host, worker.port),
-            self.probe_timeout_s,
+        """One server-level STATS round trip, each step due within
+        ``probe_timeout_s``; raises when unhealthy."""
+        client = await AsyncServiceClient.connect(
+            self.host, worker.port, timeout=self.probe_timeout_s,
         )
         try:
-            stats = await asyncio.wait_for(
-                client.server_stats(), self.probe_timeout_s
-            )
+            stats = await client.server_stats()
             if stats.get("worker") != worker.worker_id:
                 raise ConnectionError(
                     f"probe answered by {stats.get('worker')!r}, "

@@ -17,7 +17,9 @@ cost-benefit core into exactly that — a long-lived advisory daemon:
 * :mod:`~repro.service.lineserver` — the connection core under both the
   server and the fleet gateway: listener, HELLO, idle/drain timeouts,
   line limit, load shedding, backpressure and teardown;
-* :mod:`~repro.service.client`   — async and blocking clients, plus
+* :mod:`~repro.service.client`   — async and blocking clients, the
+  asyncio connection that the async clients and the fleet gateway's
+  worker links share (:class:`~repro.service.client.Upstream`), and
   :class:`ResilientAsyncClient`, which retries with backoff and resumes a
   session decision-identically across connection failures;
 * :mod:`~repro.service.metrics`  — service-level counters and per-command

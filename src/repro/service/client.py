@@ -12,22 +12,30 @@ transparent reconnect with bounded exponential backoff, session resume
 from the server's detached table or checkpoint directory, and a journal
 replay fallback that re-derives the session from scratch — asserting
 bit-identical advice either way.
+
+:class:`Upstream` is the one asyncio connection to a server: the async
+clients ride it, and so does the fleet gateway's link to each worker.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
+import itertools
 import random
 import socket
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import (
     Any,
     Awaitable,
     Callable,
+    Deque,
     Dict,
     List,
     Optional,
     Sequence,
+    Tuple,
     Type,
     TypeVar,
 )
@@ -99,19 +107,222 @@ def _check_hello(reply: Reply) -> HelloReply:
     return hello
 
 
-class AsyncServiceClient:
-    """One connection to the service, usable from an event loop."""
+#: A request's continuation on an :class:`Upstream`: ``(reply line, what
+#: the connection's ``decode`` made of it)``, or ``(None, error)`` when
+#: the connection fails before the reply arrives.
+ReplyCallback = Callable[[Optional[bytes], Any], None]
+
+
+class Upstream(asyncio.Protocol):
+    """One NDJSON connection to a server, and its requests in flight.
+
+    The server greets with a HELLO line, checked and kept as ``hello``,
+    then answers strictly in order, so replies are matched to requests
+    FIFO: each request queues a callback, and ``data_received`` hands it
+    the reply line with what ``decode`` made of it.  That order is also
+    the fragility.  A reply that is overdue, does not decode or was never
+    asked for means the stream can no longer be trusted to line up, so
+    the connection is torn down, never skipped past: the oldest request
+    fails with the reason, the rest as lost, and so does any request sent
+    afterwards.
+
+    Each reply, the HELLO's included, is due ``timeout_s`` after its
+    request is sent (``None``: never).  The deadlines ride the FIFO, so
+    the oldest is at its head, and one timer per connection enforces them
+    (:meth:`_expire`): a request arms no timer of its own.  A server that
+    stops reading also stops answering, so the same deadline bounds a
+    write it never takes.
+    """
 
     def __init__(
         self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        hello: HelloReply,
+        name: str,
+        decode: Callable[[bytes], Any],
+        *,
+        timeout_s: Optional[float],
+        limit: int = protocol.MAX_LINE_BYTES,
     ) -> None:
-        self._reader = reader
-        self._writer = writer
-        self.hello = hello
-        self._next_id = 1
+        self.name = name
+        """Who the server is, in error messages."""
+        self._decode = decode
+        self._timeout_s = timeout_s
+        self._limit = limit
+        self.loop = asyncio.get_running_loop()
+        self.transport: Optional[asyncio.Transport] = None
+        self.hello: Optional[HelloReply] = None
+        self.lost = False
+        """Torn down: every request sent from now on fails at once."""
+        self.closed = self.loop.create_future()
+        """Resolved as the transport ends: ``None``, or its error."""
+        self._pending: Deque[Tuple[Optional[float], ReplyCallback]] = deque()
+        #: The one reply timer, armed while requests are in flight.
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._buffer = b""
+        self._greeted = self.loop.create_future()
+        # The HELLO is the first reply due.
+        self.send(None, functools.partial(_settle, self._greeted))
+
+    @classmethod
+    async def connect(
+        cls,
+        host: str,
+        port: int,
+        decode: Callable[[bytes], Any],
+        *,
+        timeout_s: Optional[float] = None,
+        name: Optional[str] = None,
+        limit: int = protocol.MAX_LINE_BYTES,
+    ) -> "Upstream":
+        """Connect and take the server's HELLO; ``timeout_s`` bounds the
+        TCP connect and the HELLO, and then every reply."""
+        upstream = cls(
+            name or f"{host}:{port}", decode, timeout_s=timeout_s,
+            limit=limit,
+        )
+        try:
+            await asyncio.wait_for(upstream.loop.create_connection(
+                lambda: upstream, host, port,
+            ), timeout_s)
+            line, _ = await upstream._greeted
+            upstream.hello = _check_hello(protocol.decode_reply(line))
+        except BaseException:
+            upstream._greeted.cancel()  # unawaited now: never fail it
+            upstream.close()
+            raise
+        return upstream
+
+    # ------------------------------------------------------------ asyncio
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        if self.lost:
+            transport.abort()  # gave up while connecting
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer + data if self._buffer else data
+        start = 0
+        while not self.lost:
+            end = buffer.find(b"\n", start)
+            if end < 0:
+                break
+            line = buffer[start:end + 1]
+            start = end + 1
+            if not self._pending:
+                self._teardown(ConnectionError(
+                    f"{self.name} sent a reply nobody asked for"
+                ))
+                return
+            try:
+                reply = self._decode(line)
+            except ProtocolError as exc:  # the codec says what is wrong
+                self._teardown(exc)
+                return
+            except ValueError:
+                self._teardown(ConnectionError(
+                    f"{self.name} sent an undecodable reply"
+                ))
+                return
+            self._pending.popleft()[1](line, reply)
+        self._buffer = buffer = buffer[start:] if start else buffer
+        if len(buffer) > self._limit:
+            self._teardown(ConnectionError(
+                f"{self.name} sent a line over {self._limit} bytes"
+            ))
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._teardown(ConnectionError(f"{self.name} connection lost"))
+        if not self.closed.done():
+            self.closed.set_result(exc)
+
+    # ------------------------------------------------------------ requests
+
+    def send(self, line: Optional[bytes], callback: ReplyCallback) -> None:
+        """Write ``line`` and queue ``callback`` for its reply (``line``
+        None: write nothing, the next reply is due anyway)."""
+        if self.lost:
+            callback(None, ConnectionError(f"{self.name} connection lost"))
+            return
+        deadline = None
+        if self._timeout_s is not None:
+            deadline = self.loop.time() + self._timeout_s
+            if self._timer is None:
+                self._timer = self.loop.call_at(deadline, self._expire)
+        # Queue and write in one step, so the FIFO order is the wire's.
+        self._pending.append((deadline, callback))
+        if line is not None:
+            self.transport.write(line)
+
+    async def request(self, line: bytes) -> Tuple[bytes, Any]:
+        """Send ``line``; return its reply line and what ``decode`` made
+        of it."""
+        future = self.loop.create_future()
+        self.send(line, functools.partial(_settle, future))
+        return await future
+
+    def _expire(self) -> None:
+        """The reply timer fired: re-arm it at the oldest deadline, or,
+        if the oldest request is overdue, tear the connection down.
+
+        A late reply would be matched to the wrong request; the only safe
+        recovery is a fresh connection.  An idle connection keeps no
+        timer: the next request arms one.
+        """
+        self._timer = None
+        if not self._pending:
+            return
+        deadline = self._pending[0][0]
+        if self.loop.time() < deadline:
+            self._timer = self.loop.call_at(deadline, self._expire)
+            return
+        self._teardown(TimeoutError(
+            f"{self.name}: no reply within {self._timeout_s}s"
+        ))
+
+    def close(self) -> None:
+        """End the connection; requests in flight fail as lost."""
+        if self.transport is not None:
+            self.transport.close()
+        self._teardown(ConnectionError(f"{self.name} connection closed"))
+
+    def _teardown(self, error: Exception) -> None:
+        """Drop the connection, failing its oldest request with ``error``
+        and the rest as lost."""
+        if self.lost:
+            return
+        self.lost = True
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        if self.transport is not None:
+            self.transport.abort()  # a no-op once close() has flushed
+        while self._pending:
+            _, callback = self._pending.popleft()
+            callback(None, error)
+            error = ConnectionError(f"{self.name} connection lost")
+
+
+def _settle(future: asyncio.Future, line: Optional[bytes], reply: Any) -> None:
+    """The :data:`ReplyCallback` of an awaited request."""
+    if future.done():
+        return  # its awaiter was cancelled
+    if line is None:
+        future.set_exception(reply)
+    else:
+        future.set_result((line, reply))
+
+
+def _decode_reply(line: bytes) -> Reply:
+    # Looked up per call, so a profiler that rebinds the codec sees it.
+    return protocol.decode_reply(line)
+
+
+class AsyncServiceClient:
+    """One connection to the service, usable from an event loop."""
+
+    def __init__(self, upstream: Upstream) -> None:
+        self._upstream = upstream
+        self.hello: HelloReply = upstream.hello  # type: ignore[assignment]
+        self._ids = itertools.count(1)
 
     @classmethod
     async def connect(
@@ -123,42 +334,26 @@ class AsyncServiceClient:
     ) -> "AsyncServiceClient":
         """Connect and consume the HELLO banner.
 
-        ``timeout`` bounds the whole handshake (TCP connect + banner), so a
-        listener that accepts but never speaks cannot hang the caller.
+        ``timeout`` bounds the handshake (TCP connect + banner) and then
+        every reply: a reply that is overdue ends the connection and
+        raises ``TimeoutError``, so a listener that accepts but never
+        speaks, or a server that stops answering, cannot hang the caller.
         """
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(
-                host, port, limit=protocol.MAX_LINE_BYTES
-            ),
-            timeout,
-        )
-        try:
-            line = await asyncio.wait_for(reader.readline(), timeout)
-        except (asyncio.TimeoutError, TimeoutError):
-            writer.close()
-            raise TimeoutError(
-                f"no HELLO from {host}:{port} within {timeout}s"
-            ) from None
-        hello = _check_hello(protocol.decode_reply(line))
-        return cls(reader, writer, hello)
+        return cls(await Upstream.connect(
+            host, port, _decode_reply, timeout_s=timeout,
+        ))
 
     async def roundtrip(self, request: Request) -> Reply:
         """Send one request and read its reply; error replies come back
-        as values, a closed connection raises ``ConnectionError``."""
-        self._writer.write(protocol.encode_request(request))
-        await self._writer.drain()
-        line = await self._reader.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        return protocol.decode_reply(line)
+        as values, a lost connection raises ``ConnectionError`` and an
+        overdue reply ``TimeoutError``."""
+        _, reply = await self._upstream.request(
+            protocol.encode_request(request)
+        )
+        return reply
 
     async def _rpc(self, request: Request, reply_type: Type[R]) -> R:
         return _expect(await self.roundtrip(request), reply_type)
-
-    def _take_id(self) -> int:
-        request_id = self._next_id
-        self._next_id += 1
-        return request_id
 
     async def open_session(
         self,
@@ -188,7 +383,7 @@ class AsyncServiceClient:
         """
         return await self._rpc(
             OpenRequest(
-                id=self._take_id(), policy=policy, cache_size=cache_size,
+                id=next(self._ids), policy=policy, cache_size=cache_size,
                 params=params, policy_kwargs=dict(policy_kwargs or {}),
                 model=model, resume=resume, tenant=tenant, trace=trace,
             ),
@@ -210,7 +405,7 @@ class AsyncServiceClient:
         arms the server's duplicate detection for at-most-once folding
         under retries."""
         reply = await self._rpc(
-            ObserveRequest(id=self._take_id(), session=session, block=block,
+            ObserveRequest(id=next(self._ids), session=session, block=block,
                            seq=seq),
             ObserveReply,
         )
@@ -218,7 +413,7 @@ class AsyncServiceClient:
 
     async def stats(self, session: str) -> Dict[str, Any]:
         reply = await self._rpc(
-            StatsRequest(id=self._take_id(), session=session), StatsReply
+            StatsRequest(id=next(self._ids), session=session), StatsReply
         )
         return reply.stats
 
@@ -233,23 +428,20 @@ class AsyncServiceClient:
         text format.
         """
         reply = await self._rpc(
-            StatsRequest(id=self._take_id(), session=None, format=format),
+            StatsRequest(id=next(self._ids), session=None, format=format),
             StatsReply,
         )
         return reply.stats
 
     async def close_session(self, session: str) -> Dict[str, Any]:
         reply = await self._rpc(
-            CloseRequest(id=self._take_id(), session=session), CloseReply
+            CloseRequest(id=next(self._ids), session=session), CloseReply
         )
         return reply.stats
 
     async def aclose(self) -> None:
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        self._upstream.close()
+        await self._upstream.closed
 
     async def __aenter__(self) -> "AsyncServiceClient":
         return self
@@ -264,7 +456,7 @@ class ServiceClient:
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
         self._file = sock.makefile("rwb")
-        self._next_id = 1
+        self._ids = itertools.count(1)
         self.hello: HelloReply = _check_hello(
             protocol.decode_reply(self._file.readline())
         )
@@ -298,11 +490,6 @@ class ServiceClient:
             raise ConnectionError("server closed the connection")
         return _expect(protocol.decode_reply(line), reply_type)
 
-    def _take_id(self) -> int:
-        request_id = self._next_id
-        self._next_id += 1
-        return request_id
-
     def open(
         self,
         *,
@@ -315,7 +502,7 @@ class ServiceClient:
     ) -> str:
         reply = self._rpc(
             OpenRequest(
-                id=self._take_id(), policy=policy, cache_size=cache_size,
+                id=next(self._ids), policy=policy, cache_size=cache_size,
                 params=params, policy_kwargs=dict(policy_kwargs or {}),
                 model=model, tenant=tenant,
             ),
@@ -325,14 +512,14 @@ class ServiceClient:
 
     def observe(self, session: str, block: int) -> PrefetchAdvice:
         reply = self._rpc(
-            ObserveRequest(id=self._take_id(), session=session, block=block),
+            ObserveRequest(id=next(self._ids), session=session, block=block),
             ObserveReply,
         )
         return reply.advice
 
     def stats(self, session: str) -> Dict[str, Any]:
         reply = self._rpc(
-            StatsRequest(id=self._take_id(), session=session), StatsReply
+            StatsRequest(id=next(self._ids), session=session), StatsReply
         )
         return reply.stats
 
@@ -341,14 +528,14 @@ class ServiceClient:
     ) -> Dict[str, Any]:
         """Server-level snapshot (see ``AsyncServiceClient.server_stats``)."""
         reply = self._rpc(
-            StatsRequest(id=self._take_id(), session=None, format=format),
+            StatsRequest(id=next(self._ids), session=None, format=format),
             StatsReply,
         )
         return reply.stats
 
     def close_session(self, session: str) -> Dict[str, Any]:
         reply = self._rpc(
-            CloseRequest(id=self._take_id(), session=session), CloseReply
+            CloseRequest(id=next(self._ids), session=session), CloseReply
         )
         return reply.stats
 
@@ -436,10 +623,12 @@ class RetryPolicy:
     """Bounded exponential backoff with jitter, plus two deadlines.
 
     ``per_rpc_timeout_s`` bounds each individual attempt (connect,
-    handshake, or one request/reply round trip); ``overall_deadline_s``
-    bounds the whole retry loop for one logical call, reconnects and
-    backoff sleeps included.  ``seed`` pins the jitter for reproducible
-    tests; leave ``None`` for real deployments.
+    handshake, or one request/reply round trip): it is the deadline the
+    client's connection enforces (:meth:`AsyncServiceClient.connect`'s
+    ``timeout``).  ``overall_deadline_s`` bounds the whole retry loop for
+    one logical call, reconnects and backoff sleeps included.  ``seed``
+    pins the jitter for reproducible tests; leave ``None`` for real
+    deployments.
     """
 
     max_attempts: int = 5
@@ -465,8 +654,8 @@ class RetryPolicy:
 #: ProtocolError IS retryable here: an undecodable line means the byte
 #: stream is corrupt (truncation, garbage injection), and the fix is the
 #: same as for a reset — reconnect and resume.
-_RETRYABLE = (ConnectionError, TimeoutError, asyncio.TimeoutError,
-              asyncio.IncompleteReadError, EOFError, OSError, ProtocolError)
+_RETRYABLE = (ConnectionError, TimeoutError, asyncio.TimeoutError, OSError,
+              ProtocolError)
 
 #: Backstop on consecutive E_OVERLOAD waits when the policy has no overall
 #: deadline to bound them (overload waits do not consume retry attempts).
@@ -542,10 +731,7 @@ class ResilientAsyncClient:
     async def _teardown(self) -> None:
         client, self._client = self._client, None
         if client is not None:
-            try:
-                await client.aclose()
-            except OSError:
-                pass
+            await client.aclose()
 
     async def _ensure_session(self) -> AsyncServiceClient:
         if self._client is None:
@@ -564,12 +750,10 @@ class ResilientAsyncClient:
 
     async def _reopen(self, client: AsyncServiceClient) -> None:
         """Re-establish the logical session on a fresh connection."""
-        timeout = self.retry.per_rpc_timeout_s
 
         async def rpc(request: Request) -> Reply:
-            reply = await asyncio.wait_for(
-                client.roundtrip(replace(request, id=client._take_id())),
-                timeout,
+            reply = await client.roundtrip(
+                replace(request, id=next(client._ids))
             )
             if isinstance(reply, OpenReply):
                 # Adopt the session before its replay: a reset mid-replay
@@ -615,10 +799,7 @@ class ResilientAsyncClient:
                     f"({policy.overall_deadline_s}s) exceeded"
                 ) from last_exc
             try:
-                client = await self._ensure_session()
-                return await asyncio.wait_for(
-                    fn(client), policy.per_rpc_timeout_s
-                )
+                return await fn(await self._ensure_session())
             except ResumeParityError:
                 raise
             except ServiceError as exc:

@@ -498,6 +498,11 @@ def _check_version(obj: Dict[str, Any]) -> None:
         )
 
 
+#: What converting a field of the wrong JSON type raises: ``int("x")``,
+#: ``int([1])`` and ``int(1e999)`` (an infinity) among them.
+_BAD_FIELD = (TypeError, ValueError, OverflowError)
+
+
 def _parse_line(line: Union[str, bytes]) -> Dict[str, Any]:
     if isinstance(line, bytes):
         if len(line) > MAX_LINE_BYTES:
@@ -586,18 +591,18 @@ def decode_request(line: Union[str, bytes]) -> Request:
     obj = _parse_line(line)
     _check_version(obj)
     cmd = obj.get("cmd")
-    cls = _REQUEST_TYPES.get(cmd)  # type: ignore[arg-type]
+    cls = _REQUEST_TYPES.get(cmd) if isinstance(cmd, str) else None
     if cls is None:
         raise ProtocolError(f"unknown command {cmd!r}")
     try:
         request_id = int(obj.get("id", 0))
-    except (TypeError, ValueError):
+    except _BAD_FIELD:
         raise ProtocolError("request id must be an integer") from None
     try:
         return cls.from_payload(request_id, obj)
     except ProtocolError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError,) + _BAD_FIELD as exc:
         raise ProtocolError(f"malformed {cmd} request: {exc}") from None
 
 
@@ -617,12 +622,12 @@ def decode_reply(line: Union[str, bytes]) -> Reply:
     obj = _parse_line(line)
     _check_version(obj)
     cmd = obj.get("cmd")
-    cls = _REPLY_TYPES.get(cmd)  # type: ignore[arg-type]
+    cls = _REPLY_TYPES.get(cmd) if isinstance(cmd, str) else None
     if cls is None:
         raise ProtocolError(f"unknown reply {cmd!r}")
     try:
         return cls.from_payload(int(obj.get("id", 0)), obj)
     except ProtocolError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError,) + _BAD_FIELD as exc:
         raise ProtocolError(f"malformed {cmd} reply: {exc}") from None

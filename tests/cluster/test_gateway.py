@@ -382,7 +382,7 @@ class TestReattach:
                     (await client1.observe(sid, block)).as_dict()
                     for block in blocks[:120]
                 ]
-                client1._writer.transport.abort()  # vanish
+                client1._upstream.transport.abort()  # vanish
                 for _ in range(100):
                     await asyncio.sleep(0.02)
                     if fleet.gateway.stats.sessions_orphaned:
@@ -433,7 +433,7 @@ class TestReattach:
                     policy="cb-ppm", model="warm"
                 )
                 stats = await client1.stats(opened.session)
-                client1._writer.transport.abort()  # vanish
+                client1._upstream.transport.abort()  # vanish
                 for _ in range(100):
                     await asyncio.sleep(0.02)
                     if fleet.gateway.stats.sessions_orphaned:
@@ -499,7 +499,7 @@ class TestChaosBetweenGatewayAndWorker:
     @pytest.mark.parametrize("fault", ["garbage_every", "truncate_every"])
     def test_garbage_or_cut_reply_fails_over(self, fault):
         """A worker reply that does not parse, or is cut mid-line, on the
-        OBSERVE fast path tears the link down, counts a breaker failure
+        OBSERVE relay tears the link down, counts a breaker failure
         and fails the session over; the client sees clean advice."""
         blocks = _blocks(120)
 
@@ -542,10 +542,11 @@ class TestChaosBetweenGatewayAndWorker:
 
 class TestSharedSession:
     def test_concurrent_observes_on_one_session_fold_once_each(self):
-        """Four connections OBSERVE one session at once, so the fast path
-        and the coroutine path take turns on the session's lock: every
-        request folds exactly once, with its own seq, and the journal
-        records each block at the period the worker folded it."""
+        """Four connections OBSERVE one session at once, so an OBSERVE
+        that finds the session busy waits for the lock's handover, then
+        relays: every request folds exactly once, with its own seq, and
+        the journal records each block at the period the worker folded
+        it."""
 
         async def scenario():
             async with _Fleet(1) as fleet:
@@ -587,14 +588,25 @@ class TestSharedSession:
 
 
 class TestClientIsolation:
-    def test_a_line_that_raises_ends_only_its_own_connection(self):
-        """A line the decoder cannot handle (an unhashable ``cmd`` raises
-        TypeError), held behind a client's OBSERVE, is served as the
-        worker's reply is relayed, inside the worker link's callback.  It
-        ends that client's connection alone: another client streaming on
-        the same worker keeps its worker and clean advice, and the
-        breaker counts no failure."""
+    def test_a_line_that_raises_ends_only_its_own_connection(
+        self, monkeypatch
+    ):
+        """A line the decoder cannot handle (a marker line, on which a
+        wrapped decoder raises TypeError), held behind a client's
+        OBSERVE, is served as the worker's reply is relayed, inside the
+        worker link's callback.  It ends that client's connection alone:
+        another client streaming on the same worker keeps its worker and
+        clean advice, and the breaker counts no failure."""
         blocks = _blocks(300)
+        marker = b'{"v":3,"cmd":"raise","id":3}'
+        decode = protocol.decode_request
+
+        def raising(line):
+            if line == marker:
+                raise TypeError("injected decoder failure")
+            return decode(line)
+
+        monkeypatch.setattr(protocol, "decode_request", raising)
 
         async def scenario():
             loop = asyncio.get_running_loop()
@@ -632,7 +644,7 @@ class TestClientIsolation:
                     await asyncio.sleep(0.001)
                 writer.write(protocol.encode_request(
                     protocol.ObserveRequest(id=2, session=other, block=7)
-                ) + b'{"v":3,"cmd":[1],"id":3}\n')
+                ) + marker + b"\n")
                 lines = []
                 try:
                     while line := await asyncio.wait_for(
@@ -897,3 +909,46 @@ class TestJournalCompaction:
         assert offset == 0
         assert kept == 40
         assert compactions == 0
+
+
+class TestCompactionAttempts:
+    def test_a_missing_checkpoint_is_looked_for_once_per_bound(
+        self, tmp_path, monkeypatch
+    ):
+        """With a checkpoint directory but no checkpoint covering the
+        journal, the gateway looks again only once the journal has grown
+        by another ``journal_compact_after`` entries, not on every
+        OBSERVE past the bound: attempts at 64, 128 and 192 entries."""
+        from repro.cluster import gateway as gateway_module
+
+        reads = []
+        real = gateway_module.read_snapshot
+
+        def counted(path):
+            reads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(gateway_module, "read_snapshot", counted)
+        blocks = _blocks(200)
+
+        async def scenario():
+            async with _Fleet(
+                1, checkpoint_dir=str(tmp_path / "ckpt"),
+                journal_compact_after=64,
+            ) as fleet:
+                async with await AsyncServiceClient.connect(
+                    port=fleet.gateway.endpoint.port
+                ) as client:
+                    sid = await client.open(policy="tree", cache_size=CACHE)
+                    got = [
+                        (await client.observe(sid, block)).as_dict()
+                        for block in blocks
+                    ]
+                    session = fleet.gateway.sessions[sid]
+                    return got, len(session.journal), fleet.gateway.stats
+
+        got, kept, stats = asyncio.run(scenario())
+        assert got == _fault_free_advice(blocks)
+        assert 1 <= len(reads) <= 3
+        assert kept == 200
+        assert stats.journal_compactions == 0

@@ -9,6 +9,7 @@ checkable, so every test here checks it.
 
 import asyncio
 import contextlib
+import json
 import os
 import signal
 import socket
@@ -267,7 +268,7 @@ class TestServerKillResume:
                 for block in blocks[:120]
             ]
             # vanish without CLOSE
-            client1._writer.transport.abort()
+            client1._upstream.transport.abort()
             await asyncio.sleep(0.05)
             assert service.metrics.sessions_detached == 1
 
@@ -301,7 +302,7 @@ async def _drop_connection(client, service):
     """Abort a resilient client's connection; return once the server
     has detached the session."""
     detached = service.metrics.sessions_detached
-    client._client._writer.transport.abort()
+    client._client._upstream.transport.abort()
     for _ in range(200):
         if service.metrics.sessions_detached > detached:
             return
@@ -463,7 +464,7 @@ class TestDrain:
             drained = await drain_service(service, checkpoint_dir=str(ckpt))
             # drained connections read EOF, not a hang
             for client, _ in clients:
-                assert await client._reader.readline() == b""
+                assert await client._upstream.closed is None
             return drained, service.metrics.as_dict()
 
         service = PrefetchService()
@@ -528,7 +529,7 @@ class TestTimeouts:
                 session = await client.open(policy="tree", cache_size=CACHE)
                 assert session
                 # send nothing; the front must hang up on its own
-                eof = await asyncio.wait_for(client._reader.readline(), 5.0)
+                eof = await asyncio.wait_for(client._upstream.closed, 5.0)
                 await client.aclose()
             finally:
                 if flavor == "gateway":
@@ -538,7 +539,7 @@ class TestTimeouts:
             return eof, counters.as_dict()
 
         eof, counters = asyncio.run(scenario())
-        assert eof == b""
+        assert eof is None  # a clean close, not a reset
         assert counters["timeouts"] == 1
         if flavor == "bare":
             assert counters["live_sessions"] == 0  # reaped, not leaked
@@ -565,14 +566,14 @@ class TestTimeouts:
                     await asyncio.sleep(0.1)
                 busy_timeouts = counters.timeouts
                 # now go silent: the front must hang up on its own
-                eof = await asyncio.wait_for(client._reader.readline(), 5.0)
+                eof = await asyncio.wait_for(client._upstream.closed, 5.0)
                 await client.aclose()
             return sent, busy_timeouts, eof, counters.as_dict()
 
         sent, busy_timeouts, eof, counters = asyncio.run(scenario())
         assert sent >= 10
         assert busy_timeouts == 0
-        assert eof == b""
+        assert eof is None  # a clean close, not a reset
         assert counters["timeouts"] == 1
         if flavor == "bare":
             assert counters["live_sessions"] == 0
@@ -680,6 +681,146 @@ class TestTimeouts:
                 )
         finally:
             listener.close()
+
+
+class TestBadLines:
+    @pytest.mark.parametrize("flavor", ["bare", "gateway"])
+    def test_lines_that_once_raised_get_an_error_line_each(self, flavor):
+        """A non-string ``cmd`` and an infinite number where an integer
+        belongs are bad requests like any other: one ``bad_request``
+        line each, and the connection stays open."""
+        bad = [
+            b'{"v":3,"cmd":[1],"id":1}',
+            b'{"v":3,"cmd":"observe","id":1,"session":"s1","block":1e999}',
+            b'{"v":3,"cmd":"observe","id":1e999,"session":"s1","block":1}',
+            b'{"v":3,"cmd":"open","id":1,"cache_size":1e999}',
+        ]
+        open_line = protocol.encode_request(protocol.OpenRequest(
+            id=7, policy="no-prefetch", cache_size=8,
+        ))
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(
+                lambda _, context: reported.append(context["message"])
+            )
+            async with _front(flavor) as (port, counters):
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                try:
+                    await reader.readline()  # HELLO
+                    writer.write(b"\n".join(bad) + b"\n" + open_line)
+                    replies = [
+                        json.loads(await asyncio.wait_for(
+                            reader.readline(), 5.0
+                        ))
+                        for _ in range(len(bad) + 1)
+                    ]
+                finally:
+                    writer.close()
+                return replies, counters.errors, reported
+
+        replies, errors, reported = asyncio.run(scenario())
+        assert [r.get("error") for r in replies[:-1]] == (
+            [protocol.E_BAD_REQUEST] * len(bad)
+        )
+        assert replies[-1]["cmd"] == "open" and replies[-1]["ok"] is True
+        assert errors == len(bad)
+        assert reported == []
+
+
+class TestClientDeadline:
+    def test_overdue_reply_reconnects_and_resumes(self):
+        """A reply held back past ``per_rpc_timeout_s`` ends the attempt:
+        the resilient client reconnects, resumes the session and goes
+        on with the same advice as a fault-free run."""
+        blocks = _blocks(300)
+        want = _fault_free_advice(blocks)
+
+        async def scenario(service, port):
+            plan = FaultPlan(delay_every=100, delay_s=1.0)
+            async with ChaosProxy(port=port, plan=plan) as proxy:
+                client = ResilientAsyncClient(
+                    port=proxy.port, retry=_retry(per_rpc_timeout_s=0.2)
+                )
+                async with client:
+                    await client.open(policy="tree", cache_size=CACHE)
+                    got = [
+                        (await client.observe(block)).as_dict()
+                        for block in blocks
+                    ]
+                    await client.close_session()
+                return got, proxy.stats, client
+
+        got, stats, client = asyncio.run(_with_server(scenario))
+        assert got == want
+        assert stats.delays_injected > 0
+        assert client.retries >= 1
+
+
+class TestClientCost:
+    """The clients' own cost per request: 200 OBSERVEs arm no timer and
+    start no task, and make about one future each (counted, not timed).
+    The server runs on another thread, so the event loop counts only
+    client work."""
+
+    NAMES = ("call_at", "create_task", "create_future")
+
+    def _count(self, flavor):
+        blocks = _blocks(200)
+
+        async def scenario(port):
+            loop = asyncio.get_running_loop()
+            counts = dict.fromkeys(self.NAMES, 0)
+
+            def counting(name):
+                real = getattr(loop, name)
+
+                def wrapper(*args, **kwargs):
+                    counts[name] += 1
+                    return real(*args, **kwargs)
+
+                setattr(loop, name, wrapper)
+
+            if flavor == "plain":
+                client = await AsyncServiceClient.connect(
+                    "127.0.0.1", port, timeout=5.0
+                )
+                sid = await client.open(policy="tree", cache_size=CACHE)
+
+                async def observe(block):
+                    return await client.observe(sid, block)
+            else:
+                client = ResilientAsyncClient(port=port, retry=_retry())
+                await client.open(policy="tree", cache_size=CACHE)
+                observe = client.observe
+            try:
+                for name in self.NAMES:  # call_later arms through call_at,
+                    counting(name)       # ensure_future through create_task
+                try:
+                    advice = [(await observe(b)).as_dict() for b in blocks]
+                finally:
+                    for name in self.NAMES:
+                        delattr(loop, name)
+            finally:
+                await client.aclose()
+            return counts, advice
+
+        with BackgroundServer() as server:
+            counts, advice = asyncio.run(scenario(server.port))
+        assert advice == _fault_free_advice(blocks)
+        assert counts["call_at"] <= 10, counts
+        assert counts["create_task"] <= 10, counts
+        assert counts["create_future"] <= 210, counts
+
+    def test_plain_client(self):
+        self._count("plain")
+
+    def test_resilient_client(self):
+        """Its per-RPC deadline is the connection's, not a timer each."""
+        self._count("resilient")
 
 
 class TestBackgroundServerStop:

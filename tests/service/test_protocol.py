@@ -140,6 +140,35 @@ class TestRejects:
         with pytest.raises(ProtocolError, match="id must be an integer"):
             decode_request(line)
 
+    @pytest.mark.parametrize("decode", [decode_request, decode_reply])
+    def test_unhashable_command(self, decode):
+        with pytest.raises(ProtocolError, match=r"\[1\]") as excinfo:
+            decode(b'{"v":3,"cmd":[1],"id":1}')
+        assert excinfo.value.code == protocol.E_BAD_REQUEST
+
+    @pytest.mark.parametrize("line", [
+        b'{"v":3,"cmd":"observe","id":1,"session":"s1","block":1e999}',
+        b'{"v":3,"cmd":"observe","id":1e999,"session":"s1","block":1}',
+        b'{"v":3,"cmd":"observe","id":1,"session":"s1","block":1,'
+        b'"seq":-1e999}',
+        b'{"v":3,"cmd":"open","id":1,"cache_size":1e999}',
+    ])
+    def test_infinite_integer_field_in_a_request(self, line):
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_request(line)
+        assert excinfo.value.code == protocol.E_BAD_REQUEST
+
+    @pytest.mark.parametrize("line", [
+        b'{"v":3,"cmd":"open","id":1e999,"ok":true,"session":"s1",'
+        b'"policy":"tree","cache_size":8}',
+        b'{"v":3,"cmd":"open","id":1,"ok":true,"session":"s1",'
+        b'"policy":"tree","cache_size":1e999}',
+    ])
+    def test_infinite_integer_field_in_a_reply(self, line):
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_reply(line)
+        assert excinfo.value.code == protocol.E_BAD_REQUEST
+
 
 # ------------------------------------------------- OBSERVE codec identity
 
@@ -177,39 +206,46 @@ def _outcome(fn, *args):
         return ("raise", type(exc))
 
 
+#: What a field of the wrong JSON type raises as it is converted; every
+#: one of them is a bad line (``int(1e999)`` overflows).
+_BAD_FIELD = (KeyError, TypeError, ValueError, OverflowError)
+
+
 def _oracle_decode_request(line):
-    """``decode_request`` as it was before its OBSERVE fast path."""
+    """``decode_request`` as it was before its OBSERVE fast path, except
+    that a non-string ``cmd`` and an overflowing field are bad lines."""
     obj = protocol._parse_line(line)
     protocol._check_version(obj)
     cmd = obj.get("cmd")
-    cls = _REQ.get(cmd)
+    cls = _REQ.get(cmd) if isinstance(cmd, str) else None
     if cls is None:
         raise ProtocolError(f"unknown command {cmd!r}")
     try:
         request_id = int(obj.get("id", 0))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ProtocolError("request id must be an integer") from None
     try:
         return cls(request_id, obj)
     except ProtocolError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_FIELD as exc:
         raise ProtocolError(f"malformed {cmd} request: {exc}") from None
 
 
 def _oracle_decode_reply(line):
-    """``decode_reply`` as it was before its OBSERVE fast path."""
+    """``decode_reply`` as it was before its OBSERVE fast path, except
+    that a non-string ``cmd`` and an overflowing field are bad lines."""
     obj = protocol._parse_line(line)
     protocol._check_version(obj)
     cmd = obj.get("cmd")
-    cls = _REP.get(cmd)
+    cls = _REP.get(cmd) if isinstance(cmd, str) else None
     if cls is None:
         raise ProtocolError(f"unknown reply {cmd!r}")
     try:
         return cls(int(obj.get("id", 0)), obj)
     except ProtocolError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_FIELD as exc:
         raise ProtocolError(f"malformed {cmd} reply: {exc}") from None
 
 
