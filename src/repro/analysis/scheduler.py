@@ -446,7 +446,16 @@ class Scheduler:
         pool = ProcessPoolExecutor(max_workers=workers)
         killed = False
         try:
-            futures = [pool.submit(self.task, spec) for spec in specs]
+            futures = []
+            for spec in specs:
+                try:
+                    futures.append(pool.submit(self.task, spec))
+                except BrokenProcessPool as exc:
+                    # A worker died while the batch was being queued: the
+                    # specs not yet queued go to the retry pass too.
+                    for index in range(len(futures), len(specs)):
+                        failures[index] = exc
+                    break
             for index, future in enumerate(futures):
                 try:
                     results[index] = future.result(

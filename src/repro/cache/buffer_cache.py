@@ -83,6 +83,8 @@ class BufferCache:
                 f"prefetch_capacity must be in [0, {total_buffers}], "
                 f"got {prefetch_capacity!r}"
             )
+        if marginal_band < 1:
+            raise ValueError(f"marginal_band must be >= 1, got {marginal_band!r}")
         self.params = params
         self.total_buffers = total_buffers
         self.demand = LRUCache(capacity=total_buffers)
@@ -92,23 +94,36 @@ class BufferCache:
         # Twice the pool resolves the marginal rate at any demand size.
         self.profiler = StackDistanceProfiler(max_depth=2 * total_buffers)
         self._marginal_band = marginal_band
+        # Eq. 13's factor T_driver + T_disk, summed once.
+        self._refetch_time = params.t_driver + params.t_disk
+        # The partitions' block maps: the per-reference residency and
+        # free-buffer questions read them directly.
+        self._demand_map = self.demand._entries
+        self._prefetch_map = self.prefetch._entries
+        # Kept in the session snapshot and stats.extra for byte stability;
+        # a demand reclaim never forces an eviction, so it stays 0.
         self.forced_prefetch_evictions = 0
 
     # ------------------------------------------------------------- queries
 
     @property
     def occupancy(self) -> int:
-        return len(self.demand) + len(self.prefetch)
+        return len(self._demand_map) + len(self._prefetch_map)
 
     @property
     def free_buffers(self) -> int:
-        return self.total_buffers - self.occupancy
+        return (self.total_buffers - len(self._demand_map)
+                - len(self._prefetch_map))
+
+    def __contains__(self, block: Block) -> bool:
+        """Whether ``block`` holds a buffer in either partition."""
+        return block in self._demand_map or block in self._prefetch_map
 
     def location_of(self, block: Block) -> Location:
         """Where ``block`` currently resides, without touching any state."""
-        if block in self.demand:
+        if block in self._demand_map:
             return Location.DEMAND
-        if block in self.prefetch:
+        if block in self._prefetch_map:
             return Location.PREFETCH
         return Location.MISS
 
@@ -116,13 +131,27 @@ class BufferCache:
         """Eq. 13 at the demand partition's current size.
 
         Infinite when the partition is empty (nothing to evict there).
+        Equal, bit for bit, to ``cost_demand_eviction(params,
+        profiler.recent_marginal_rate(n, band))``: the same band average,
+        times ``T_driver + T_disk`` summed once.  ``n`` is clamped to the
+        profiler's depth, so the position is always in range.
         """
-        n = len(self.demand)
+        n = len(self._demand_map)
         if n == 0:
             return costbenefit.INFINITE_COST
-        n = min(n, self.profiler.max_depth)
-        marginal = self.profiler.recent_marginal_rate(n, width=self._marginal_band)
-        return costbenefit.cost_demand_eviction(self.params, marginal)
+        profiler = self.profiler
+        if n > profiler._max_depth:
+            n = profiler._max_depth
+        weight = profiler._recent_weight
+        if weight <= 0.0:
+            return 0.0
+        lo = n - self._marginal_band + 1
+        if lo < 1:
+            lo = 1
+        marginal = sum(profiler._recent[lo : n + 1]) / (weight * (n - lo + 1))
+        if marginal < 0.0:
+            raise ValueError(f"marginal_hit_rate must be >= 0, got {marginal!r}")
+        return marginal * self._refetch_time
 
     def cheapest_victim(
         self, current_period: int, s: float
@@ -150,21 +179,29 @@ class BufferCache:
 
     # ----------------------------------------------------------- reference
 
-    def reference(self, block: Block, current_period: int) -> ReferenceResult:
-        """Apply one application reference.
+    def reference(
+        self, block: Block, current_period: int, location: Location
+    ) -> ReferenceResult:
+        """Apply one application reference found at ``location``.
 
-        Feeds the stack-distance profiler, performs the prefetch-to-demand
-        move on a prefetch hit, and refreshes demand-cache recency on a
-        demand hit.  On a miss the caller is responsible for fetching the
-        block and calling :meth:`insert_demand` after reclaiming a buffer.
+        ``location`` is :meth:`location_of` ``(block)`` as the pool stands,
+        which the caller has already asked.  Feeds the stack-distance
+        profiler, performs the prefetch-to-demand move on a prefetch hit,
+        and refreshes demand-cache recency on a demand hit.  On a miss the
+        caller is responsible for fetching the block and calling
+        :meth:`insert_demand` after reclaiming a buffer.
         """
         self.profiler.record(block)
-        if self.demand.access(block):
+        demand = self.demand
+        if location is Location.DEMAND:
+            self._demand_map.move_to_end(block)
+            demand.hits += 1
             return _DEMAND_HIT
-        if block in self.prefetch:
+        demand.misses += 1
+        if location is Location.PREFETCH:
             entry = self.prefetch.take(block)
             # Transition (iii): occupancy is unchanged by the move.
-            evicted = self.demand.insert(block)
+            evicted = demand.insert(block)
             assert evicted is None, "pool accounting must prevent LRU overflow"
             return ReferenceResult(Location.PREFETCH, entry=entry)
         return _MISS
@@ -183,30 +220,20 @@ class BufferCache:
     def reclaim_for_demand(self, current_period: int, s: float) -> None:
         """Guarantee a free buffer for a demand fetch (Figure 2, path ii).
 
-        A demand fetch cannot be refused, so if every candidate is
-        non-evictable by cost (possible only when the demand partition is
-        empty and all prefetched blocks are imminently due), the stalest
-        prefetched block is evicted anyway.
+        A demand fetch cannot be refused, and on a full pool it never needs
+        to be: Eq. 11's cost is finite (its bufferage is at least 1) and so
+        is Eq. 13's whenever the demand partition holds a block, so the
+        cheapest victim always has a finite cost.  A pool without one
+        breaks that invariant and raises.
         """
-        if self.free_buffers > 0:
+        if len(self._demand_map) + len(self._prefetch_map) < self.total_buffers:
             return
         victim = self.cheapest_victim(current_period, s)
-        if victim is not None and victim[2] != costbenefit.INFINITE_COST:
-            self._evict(victim)
-            return
-        # Forced fallback: evict the prefetched block with the lowest
-        # effective probability.
-        entries = list(self.prefetch)
-        if not entries:
-            # Demand partition must be non-empty; evict its LRU block.
-            assert len(self.demand) > 0
-            self.demand.evict_lru()
-            return
-        stalest = min(
-            entries, key=lambda e: (e.effective_probability(current_period), e.issue_period)
-        )
-        self.prefetch.evict(stalest.block)
-        self.forced_prefetch_evictions += 1
+        if victim is None or victim[2] == costbenefit.INFINITE_COST:
+            raise RuntimeError(
+                f"full pool with no finite-cost victim: {victim!r}"
+            )
+        self._evict(victim)
 
     def try_reclaim_for_prefetch(
         self, current_period: int, s: float, max_cost: float
@@ -228,7 +255,7 @@ class BufferCache:
                 return None
             self.prefetch.evict(entry.block)
             return cost
-        if self.free_buffers > 0:
+        if len(self._demand_map) + len(self._prefetch_map) < self.total_buffers:
             return 0.0
         victim = self.cheapest_victim(current_period, s)
         if victim is None or victim[2] > max_cost:
@@ -240,13 +267,13 @@ class BufferCache:
 
     def insert_demand(self, block: Block) -> None:
         """Install a demand-fetched block; a buffer must be free."""
-        if self.free_buffers <= 0:
+        if len(self._demand_map) + len(self._prefetch_map) >= self.total_buffers:
             raise RuntimeError("no free buffer; call reclaim_for_demand first")
         evicted = self.demand.insert(block)
         assert evicted is None
 
     def insert_prefetch(self, entry: PrefetchEntry) -> None:
         """Install a prefetched block; a buffer must be free."""
-        if self.free_buffers <= 0:
+        if len(self._demand_map) + len(self._prefetch_map) >= self.total_buffers:
             raise RuntimeError("no free buffer; reclaim before prefetching")
         self.prefetch.insert(entry)

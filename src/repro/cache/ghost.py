@@ -8,11 +8,13 @@ cache's blocks plus a ghost tail of recently evicted ones) and record the
 stack distance of every reference.
 
 The stack distance of a hit is computed as a rank query over a Fenwick
-(binary indexed) tree of "active" position slots: every touch assigns the
-block a fresh, monotonically increasing position; the distance is the number
-of active positions younger than the block's.  This keeps profiling at
+(binary indexed) tree of position slots: every touch assigns the block a
+fresh, monotonically increasing position; the distance is the number of live
+positions younger than the block's.  This keeps profiling at
 O(log max_depth) per reference - the naive walk from the MRU end is O(n) and
-dominates whole-trace simulations.
+dominates whole-trace simulations.  A block evicted off the stack's deep end
+keeps its slot counted in the tree until the next compaction: it lies below
+every live slot, so one count of such stale slots corrects every rank.
 
 Two estimates are exposed:
 
@@ -29,37 +31,6 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 Block = Hashable
 
 _RENORM_THRESHOLD = 1e100
-
-
-class _Fenwick:
-    """Fixed-size Fenwick tree over ints with prefix-sum queries."""
-
-    __slots__ = ("size", "_tree")
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self._tree = [0] * (size + 1)
-
-    def add(self, index: int, delta: int) -> None:
-        """Add ``delta`` at 0-based ``index``."""
-        i = index + 1
-        tree = self._tree
-        while i <= self.size:
-            tree[i] += delta
-            i += i & (-i)
-
-    def prefix_sum(self, index: int) -> int:
-        """Sum of entries at 0-based positions [0, index]."""
-        i = index + 1
-        total = 0
-        tree = self._tree
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return total
-
-    def total(self) -> int:
-        return self.prefix_sum(self.size - 1) if self.size else 0
 
 
 class StackDistanceProfiler:
@@ -83,12 +54,12 @@ class StackDistanceProfiler:
             raise ValueError(f"decay must be in (0, 1), got {decay!r}")
         self._max_depth = max_depth
         self._decay = decay
-        # position bookkeeping: block -> slot in the Fenwick tree
-        self._pos: Dict[Block, int] = {}
         self._slots = max(4 * max_depth, 64)
-        self._fenwick = _Fenwick(self._slots)
+        # The Fenwick tree spans a power of two, so every update path ends
+        # at its top node and any two paths meet.
+        self._top = 1 << (self._slots - 1).bit_length()
+        self._place(())
         self._next_slot = 0
-        self._order: List[Optional[Block]] = [None] * self._slots  # slot -> block
         self._scan_slot = 0  # eviction cursor; slots below it are dead
         self._hist: List[int] = [0] * (max_depth + 1)  # 1-indexed distances
         # Decayed histogram, stored scaled: true value = stored / _scale.
@@ -105,17 +76,33 @@ class StackDistanceProfiler:
     # ------------------------------------------------------------ internal
 
     def _place(self, live: Iterable[Tuple[int, Block]]) -> None:
-        """Reset the slot bookkeeping to exactly the ``(slot, block)`` pairs."""
-        self._pos = {}
-        self._order = [None] * self._slots
-        self._fenwick = _Fenwick(self._slots)
+        """Reset the slot bookkeeping to exactly the ``(slot, block)`` pairs.
+
+        ``_pos`` maps block -> slot and ``_order`` slot -> block.  ``_tree``
+        is a Fenwick (binary indexed) tree over the slots, 1-indexed, that
+        counts the live slots plus ``_stale`` evicted ones; it is built here
+        in linear time by folding each node into the next one covering it.
+        """
+        size = self._slots
+        top = self._top
+        pos: Dict[Block, int] = {}
+        order: List[Optional[Block]] = [None] * size
+        tree = [0] * (top + 1)
         for slot, block in live:
-            self._pos[block] = slot
-            self._order[slot] = block
-            self._fenwick.add(slot, 1)
+            pos[block] = slot
+            order[slot] = block
+            tree[slot + 1] = 1
+        if pos:
+            for i in range(1, top):
+                tree[i + (i & -i)] += tree[i]
+        self._pos = pos
+        self._order = order
+        self._tree = tree
+        self._stale = 0
 
     def _compact(self) -> None:
-        """Rebuild the Fenwick tree once the slot counter runs off the end."""
+        """Renumber the live slots from 0 once the slot counter runs off
+        the end, dropping the stale ones."""
         live = sorted(self._pos.items(), key=lambda item: item[1])
         self._place(enumerate(block for block, _ in live))
         self._next_slot = len(live)
@@ -126,17 +113,20 @@ class StackDistanceProfiler:
 
         The oldest live block has the smallest slot, so a cursor sweeping
         upward from the low end finds victims; each slot is visited at most
-        once between compactions, making eviction amortised O(1).
+        once between compactions, making eviction amortised O(1).  A
+        victim's slot stays counted in the Fenwick tree, as a stale slot:
+        it lies below the cursor, so below every live slot, and
+        :meth:`record` takes the stale count off every prefix sum.
         """
-        fenwick = self._fenwick
+        pos = self._pos
         order = self._order
         slot = self._scan_slot
-        while len(self._pos) > self._max_depth:
+        while len(pos) > self._max_depth:
             block = order[slot]
             if block is not None:
-                del self._pos[block]
+                del pos[block]
                 order[slot] = None
-                fenwick.add(slot, -1)
+                self._stale += 1
             slot += 1
         self._scan_slot = slot
 
@@ -171,7 +161,8 @@ class StackDistanceProfiler:
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
-        """Inverse of :meth:`state`; rebuilds the Fenwick tree of live slots."""
+        """Inverse of :meth:`state`; rebuilds the Fenwick tree of live slots
+        (the tree and its stale count are not carried)."""
         self._place(state["live"])
         self._next_slot = state["next_slot"]
         self._scan_slot = state["scan_slot"]
@@ -193,33 +184,61 @@ class StackDistanceProfiler:
         self._scale /= self._decay
         if self._scale > _RENORM_THRESHOLD:
             self._renormalise()
-        self._recent_weight += self._scale
+        scale = self._scale
+        self._recent_weight += scale
 
+        pos = self._pos
+        tree = self._tree
+        top = self._top
         distance: Optional[int] = None
-        old_slot = self._pos.get(block)
+        old_slot = pos.get(block)
         if old_slot is not None:
-            # Rank from the MRU end among active slots: blocks in strictly
-            # younger slots, plus one for the block itself.
-            total_active = len(self._pos)
-            d = total_active - self._fenwick.prefix_sum(old_slot) + 1
-            del self._pos[block]
-            self._fenwick.add(old_slot, -1)
+            # Rank from the MRU end among live slots: blocks in strictly
+            # younger slots, plus one for the block itself.  The prefix sum
+            # through old_slot counts every stale slot, as they lie below it.
+            below = 0
+            i = old_slot + 1
+            while i:
+                below += tree[i]
+                i &= i - 1
+            d = len(pos) + self._stale - below + 1
+            del pos[block]
             self._order[old_slot] = None
             if d <= self._max_depth:
                 distance = d
                 self._hist[d] += 1
-                self._recent[d] += self._scale
+                self._recent[d] += scale
         if distance is None:
             self.cold_references += 1
 
-        if self._next_slot >= self._slots:
-            self._compact()
         slot = self._next_slot
-        self._next_slot += 1
-        self._pos[block] = slot
+        if slot >= self._slots:
+            # The rebuilt tree no longer counts old_slot.
+            self._compact()
+            slot = self._next_slot
+            pos = self._pos
+            tree = self._tree
+            old_slot = None
+        self._next_slot = slot + 1
+        pos[block] = slot
         self._order[slot] = block
-        self._fenwick.add(slot, 1)
-        if len(self._pos) > self._max_depth:
+        j = slot + 1
+        if old_slot is None:
+            while j <= top:
+                tree[j] += 1
+                j += j & -j
+        else:
+            # Move the count from old_slot to slot: walk both update paths
+            # up to the node where they meet; above it -1 and +1 cancel.
+            i = old_slot + 1
+            while i != j:
+                if i < j:
+                    tree[i] -= 1
+                    i += i & -i
+                else:
+                    tree[j] += 1
+                    j += j & -j
+        if len(pos) > self._max_depth:
             self._evict_oldest()
         return distance
 

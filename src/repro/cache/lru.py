@@ -154,8 +154,12 @@ class LRUCache:
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
-        """Inverse of :meth:`state`; keeps the capacity."""
-        self._entries = OrderedDict((b, None) for b in state["blocks"])
+        """Inverse of :meth:`state`; keeps the capacity.
+
+        Refills the block map in place: the buffer pool holds it.
+        """
+        self._entries.clear()
+        self._entries.update((b, None) for b in state["blocks"])
         self.hits = state["hits"]
         self.misses = state["misses"]
         self.evictions = state["evictions"]

@@ -249,8 +249,7 @@ class PrefetchCache:
 
     def state(self) -> Dict[str, Any]:
         """JSON-ready form: the counters, plus one ``entries`` row per
-        resident block in insertion order, which iteration (and so the
-        forced-eviction tie-break) observes."""
+        resident block in insertion order, which iteration observes."""
         return {
             "hits": self.hits,
             "inserted": self.inserted,
@@ -267,9 +266,10 @@ class PrefetchCache:
 
         The cheap list is dropped, not carried: the next
         :meth:`min_cost_entry` rebuilds it, exactly as a continuous run
-        does when its period moves on.
+        does when its period moves on.  The block map is refilled in place:
+        the buffer pool holds it.
         """
-        self._entries = {}
+        self._entries.clear()
         self._tag_counts = {}
         for block, probability, depth, issue_period, arrival, tag in (
             state["entries"]

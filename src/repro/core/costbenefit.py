@@ -147,8 +147,9 @@ def cost_demand_eviction(params: SystemParams, marginal_hit_rate: float) -> floa
 
     ``C_dc(n) = (H(n) - H(n-1)) * (T_driver + T_disk)``; the marginal hit
     rate is estimated online from LRU stack distances
-    (:meth:`repro.cache.ghost.StackDistanceProfiler.recent_marginal_rate`,
-    read by :meth:`repro.cache.buffer_cache.BufferCache.demand_eviction_cost`).
+    (:meth:`repro.cache.ghost.StackDistanceProfiler.recent_marginal_rate`).
+    :meth:`repro.cache.buffer_cache.BufferCache.demand_eviction_cost`
+    computes the same product in one frame; this function is its reference.
     """
     if marginal_hit_rate < 0.0:
         raise ValueError(

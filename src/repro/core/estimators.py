@@ -11,7 +11,8 @@ Figure 4 lists the dynamic inputs of the prefetching scheme:
   is :attr:`repro.sim.stats.SimulationStats.prefetch_cache_hit_rate`.
 * ``H(n) - H(n-1)`` -- the marginal LRU hit rate used by Eq. 13; it is
   :meth:`repro.cache.ghost.StackDistanceProfiler.recent_marginal_rate`,
-  read by :meth:`repro.cache.buffer_cache.BufferCache.demand_eviction_cost`.
+  which :meth:`repro.cache.buffer_cache.BufferCache.demand_eviction_cost`
+  computes inline at the demand partition's size.
 """
 
 from __future__ import annotations
@@ -66,7 +67,14 @@ class PrefetchRateEstimator:
             raise ValueError(
                 f"prefetches_issued must be >= 0, got {prefetches_issued!r}"
             )
-        self._ewma.observe(float(prefetches_issued))
+        # EwmaRate.observe, unrolled: the engine calls this every period.
+        ewma = self._ewma
+        sample = float(prefetches_issued)
+        if ewma.observations == 0:
+            ewma.value = sample
+        else:
+            ewma.value += ewma.alpha * (sample - ewma.value)
+        ewma.observations += 1
         self._total_prefetches += prefetches_issued
         self._periods += 1
 

@@ -20,6 +20,7 @@ prefetch cache.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict
 
@@ -43,8 +44,10 @@ class SystemParams:
     def __post_init__(self) -> None:
         for name in ("t_hit", "t_driver", "t_disk", "t_cpu"):
             value = getattr(self, name)
-            if not (value >= 0.0):
-                raise ValueError(f"{name} must be non-negative, got {value!r}")
+            if not (0.0 <= value < math.inf):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
         if self.t_disk <= 0.0:
             raise ValueError(f"t_disk must be positive, got {self.t_disk!r}")
         if self.block_size <= 0:

@@ -158,9 +158,8 @@ class TreeBackedPolicy(Policy):
         is folded in, exactly as the paper defines them.
         """
         lvc = self.tree.last_visited_child()
-        if lvc is not None:
-            if cache.location_of(lvc) is not Location.MISS:
-                stats.lvc_cached += 1
+        if lvc is not None and lvc in cache:
+            stats.lvc_cached += 1
         outcome = self.tree.record_access(block)
         if outcome.predictable:
             stats.predictable_accesses += 1

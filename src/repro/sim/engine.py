@@ -113,17 +113,26 @@ class PrefetchContext:
       (:func:`~repro.core.costbenefit.min_profitable_probability`).
 
     Each is computed with the same float operations as the function it
-    names, so it is bit-identical to calling that function at ``s``.  A
-    context built outside a step starts at the simulator's current ``s``.
+    names, so it is bit-identical to calling that function at ``s``.  When
+    ``T_cpu + T_hit >= T_disk`` (the paper's constants), the per-period
+    computation covers ``T_disk`` at every ``s >= 0``: the horizon is 1,
+    ``dT_pf(1)`` is ``T_disk`` and ``p*`` is fixed, so they are computed
+    once, at construction.  A context built outside a step starts at the
+    simulator's current ``s``.
     """
 
     __slots__ = ("_engine", "params", "issued", "decisions", "s",
-                 "prefetch_horizon", "delta_t_pf1", "min_profitable_p")
+                 "prefetch_horizon", "delta_t_pf1", "min_profitable_p",
+                 "_fixed_terms")
 
     def __init__(self, engine: "Simulator") -> None:
         self._engine = engine
         self.params: SystemParams = engine.params
         self.decisions: List[PrefetchDecision] = []
+        self._set_terms(0.0)
+        self._fixed_terms = (
+            self.params.access_period_compute(0.0) >= self.params.t_disk
+        )
         self.begin(engine.s)
 
     def begin(self, s: float) -> None:
@@ -131,6 +140,13 @@ class PrefetchContext:
         self.issued = 0
         self.decisions.clear()
         self.s = s
+        if not self._fixed_terms:
+            self._set_terms(s)
+        elif s < 0.0:
+            raise ValueError(f"s must be non-negative, got {s!r}")
+
+    def _set_terms(self, s: float) -> None:
+        """Derive the horizon, ``dT_pf(1)`` and ``p*`` at ``s``."""
         params = self.params
         compute = params.access_period_compute(s)
         t_disk = params.t_disk
@@ -149,7 +165,7 @@ class PrefetchContext:
             self.min_profitable_p = params.t_driver / (saved + params.t_driver)
 
     def is_cached(self, block: Block) -> bool:
-        return self._engine.cache.location_of(block) is not Location.MISS
+        return block in self._engine.cache
 
     def try_issue(
         self,
@@ -328,12 +344,11 @@ class Simulator:
         location = cache.location_of(block)
         self.policy.observe(block, period, location, cache, stats)
 
-        result = cache.reference(block, period)
-        resolved = result.location
-        if resolved is Location.DEMAND:
+        result = cache.reference(block, period, location)
+        if location is Location.DEMAND:
             stats.demand_hits += 1
             clock.charge_hit(params.t_hit)
-        elif resolved is Location.PREFETCH:
+        elif location is Location.PREFETCH:
             stats.prefetch_hits += 1
             assert result.entry is not None
             stall = max(0.0, result.entry.arrival_time - clock.now)
@@ -352,7 +367,7 @@ class Simulator:
         self.policy.prefetch_round(ctx)
         self.s_estimator.end_period(ctx.issued)
         clock.charge_compute(params.t_cpu)
-        return StepResult(block, period, resolved, stall, tuple(ctx.decisions))
+        return StepResult(block, period, location, stall, tuple(ctx.decisions))
 
     def finalize(self) -> SimulationStats:
         """Seal and validate the statistics after the last access."""

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.analysis import scheduler as scheduler_module
 from repro.analysis.scheduler import RunSpec, Scheduler, SchedulerError, execute
 
 _MARKER_ENV = "REPRO_TEST_FAULT_MARKER"
@@ -84,6 +85,29 @@ class TestWorkerCrash:
             assert record_sans_walltime(got) == record_sans_walltime(expected)
         assert sch.counters.retried >= 1
         assert sch.counters.executed == len(specs)
+
+    def test_crash_while_queueing_is_retried(self, marker, monkeypatch):
+        """A worker that dies before the batch is queued breaks the pool
+        under the next submit; the unqueued specs are retried too."""
+
+        class QueuesAfterACrash(scheduler_module.ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                if getattr(self, "queued", 0):
+                    deadline = time.monotonic() + 10.0
+                    while not self._broken and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                self.queued = getattr(self, "queued", 0) + 1
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "ProcessPoolExecutor",
+                            QueuesAfterACrash)
+        specs = [spec(seed=s) for s in (1, 2, 3)]
+        sch = Scheduler(max_workers=2, task=_crash_once)
+        results = sch.run_all(specs)
+        want = [execute(s) for s in specs]
+        for got, expected in zip(results, want):
+            assert record_sans_walltime(got) == record_sans_walltime(expected)
+        assert sch.counters.retried == len(specs)
 
     def test_persistent_crash_is_a_scheduler_error(self):
         specs = [spec(seed=s) for s in (1, 2)]

@@ -1,6 +1,10 @@
 """Unit tests for the combined buffer cache (Figure 2 reclaim protocol)."""
 
+import math
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.cache.buffer_cache import BufferCache, Location, VictimKind
 from repro.cache.prefetch_cache import PrefetchEntry
@@ -25,16 +29,16 @@ def pf_entry(block, p=0.5, depth=1, period=0):
 class TestReference:
     def test_miss_then_demand_hit(self):
         c = make_cache()
-        assert c.reference(1, 1).location is Location.MISS
+        assert c.reference(1, 1, c.location_of(1)).location is Location.MISS
         c.insert_demand(1)
-        assert c.reference(1, 2).location is Location.DEMAND
+        assert c.reference(1, 2, c.location_of(1)).location is Location.DEMAND
 
     def test_prefetch_hit_moves_to_demand(self):
         """Figure 2 transition (iii)."""
         c = make_cache()
         c.insert_prefetch(pf_entry(5))
         assert c.location_of(5) is Location.PREFETCH
-        result = c.reference(5, 1)
+        result = c.reference(5, 1, Location.PREFETCH)
         assert result.location is Location.PREFETCH
         assert result.entry.block == 5
         assert c.location_of(5) is Location.DEMAND
@@ -44,7 +48,7 @@ class TestReference:
         c = make_cache()
         c.insert_prefetch(pf_entry(5))
         before = c.occupancy
-        c.reference(5, 1)
+        c.reference(5, 1, Location.PREFETCH)
         assert c.occupancy == before
 
     def test_location_of_does_not_mutate(self):
@@ -82,13 +86,50 @@ class TestReclaim:
         assert c.location_of(9) is Location.MISS
         assert c.location_of(1) is Location.DEMAND
 
-    def test_forced_eviction_when_everything_expensive(self):
-        """A demand fetch must always find a buffer."""
-        c = make_cache(total=2)
-        c.insert_prefetch(pf_entry(1, p=0.99, depth=3, period=0))
-        c.insert_prefetch(pf_entry(2, p=0.99, depth=3, period=0))
-        c.reclaim_for_demand(current_period=0, s=1.0)
+    @given(
+        demand=st.integers(min_value=0, max_value=4),
+        entries=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1.0),
+                st.integers(min_value=1, max_value=12),
+                st.integers(min_value=0, max_value=20),
+            ),
+            max_size=4,
+        ),
+        period=st.integers(min_value=0, max_value=40),
+        s=st.floats(min_value=0.0, max_value=64.0),
+        refs=st.lists(st.integers(min_value=0, max_value=6), max_size=40),
+        t_cpu=st.sampled_from([0.5, 2.0, 50.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_full_pool_always_has_a_finite_victim(
+        self, demand, entries, period, s, refs, t_cpu
+    ):
+        """A demand fetch always finds a buffer: on a full pool the cheapest
+        victim has a finite cost (Eq. 11's bufferage is at least 1, Eq. 13
+        is finite with a demand block), and a demand reclaim frees exactly
+        one buffer."""
+        total = demand + len(entries)
+        assume(total >= 1)
+        c = BufferCache(PAPER_PARAMS.with_t_cpu(t_cpu), total)
+        for block in refs:
+            c.profiler.record(block)
+        for block in range(demand):
+            c.insert_demand(block)
+        for i, (p, depth, issued) in enumerate(entries):
+            c.insert_prefetch(pf_entry(100 + i, p=p, depth=depth, period=issued))
+        assert c.free_buffers == 0
+        victim = c.cheapest_victim(period, s)
+        assert victim is not None and math.isfinite(victim[2])
+        c.reclaim_for_demand(period, s)
         assert c.free_buffers == 1
+
+    def test_demand_reclaim_without_victim_raises(self):
+        c = make_cache(total=1)
+        c.insert_demand(1)
+        c.cheapest_victim = lambda current_period, s: None
+        with pytest.raises(RuntimeError):
+            c.reclaim_for_demand(1, 1.0)
 
     def test_prefetch_reclaim_respects_budget(self):
         c = make_cache(total=2)
@@ -150,6 +191,14 @@ class TestVictimSelection:
     def test_demand_cost_infinite_when_empty(self):
         c = make_cache()
         assert c.demand_eviction_cost() == float("inf")
+
+    def test_demand_cost_rejects_negative_marginal_rate(self):
+        c = make_cache()
+        c.insert_demand(1)
+        c.profiler.record(1)
+        c.profiler._recent[1] = -1.0
+        with pytest.raises(ValueError, match="marginal_hit_rate"):
+            c.demand_eviction_cost()
 
 
 class TestInsertGuards:

@@ -1,10 +1,16 @@
 """Unit tests for the stack-distance profiler, including an oracle check."""
 
+import json
 from collections import OrderedDict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cache.buffer_cache import BufferCache, Location
 from repro.cache.ghost import StackDistanceProfiler
+from repro.core import costbenefit
+from repro.params import PAPER_PARAMS
 
 
 def brute_force_distances(blocks, max_depth):
@@ -143,3 +149,61 @@ class TestMembership:
         assert 1 in p
         p.record(4)
         assert 1 not in p  # pushed out of the profiled stack
+
+
+class TestAgainstReferences:
+    """The profiler and the pool's Eq. 13 read against their references.
+
+    Depths of 2 to 16 give 64 slots, so a few hundred references over a
+    small universe evict and compact many times over.
+    """
+
+    @given(
+        blocks=st.lists(st.integers(min_value=0, max_value=23), max_size=600),
+        max_depth=st.integers(min_value=2, max_value=16),
+        cut=st.integers(min_value=0, max_value=600),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_distances_and_restore(self, blocks, max_depth, cut):
+        expected = brute_force_distances(blocks, max_depth)
+        p = StackDistanceProfiler(max_depth=max_depth)
+        restored = None
+        got, got_restored = [], []
+        for i, block in enumerate(blocks):
+            if i == cut:
+                restored = StackDistanceProfiler(max_depth=max_depth)
+                restored.load_state(json.loads(json.dumps(p.state())))
+            got.append(p.record(block))
+            if restored is not None:
+                got_restored.append(restored.record(block))
+        assert got == expected
+        if restored is not None:
+            assert got_restored == expected[cut:]
+            assert restored.state() == p.state()
+
+    @given(
+        blocks=st.lists(st.integers(min_value=0, max_value=23), max_size=600),
+        buffers=st.integers(min_value=1, max_value=8),
+        band=st.integers(min_value=1, max_value=10),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_demand_eviction_cost_matches_eq13(self, blocks, buffers, band):
+        c = BufferCache(PAPER_PARAMS, buffers, marginal_band=band)
+        profiler = c.profiler
+
+        def reference_cost():
+            n = len(c.demand)
+            if n == 0:
+                return costbenefit.INFINITE_COST
+            marginal = profiler.recent_marginal_rate(
+                min(n, profiler.max_depth), width=band)
+            return costbenefit.cost_demand_eviction(PAPER_PARAMS, marginal)
+
+        assert c.demand_eviction_cost() == reference_cost()
+        for period, block in enumerate(blocks, 1):
+            location = c.location_of(block)
+            c.reference(block, period, location)
+            if location is Location.MISS:
+                c.reclaim_for_demand(period, 1.0)
+                c.insert_demand(block)
+            assert c.demand_eviction_cost().hex() == reference_cost().hex()

@@ -176,6 +176,14 @@ class TestEngineGuards:
         with pytest.raises(ValueError):
             Simulator(P, make_policy("tree"), 8, max_prefetches_per_period=0)
 
+    @pytest.mark.parametrize("t_cpu", [2.0, 50.0])
+    def test_negative_s_rejected(self, t_cpu):
+        # At 50 ms the round's terms are fixed at construction; a negative
+        # s raises all the same.
+        sim = Simulator(P.with_t_cpu(t_cpu), make_policy("tree"), 8)
+        with pytest.raises(ValueError, match="s must be non-negative"):
+            sim._ctx.begin(-1.0)
+
     def test_extra_metadata(self):
         stats = run("tree", [1, 2, 3] * 10, 8)
         assert stats.extra["policy"] == "tree"

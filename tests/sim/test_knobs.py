@@ -68,3 +68,9 @@ class TestMarginalBandKnob:
         # With hits concentrated at distance 3, a narrow band at n=3 sees a
         # high marginal rate; averaging over 8 positions dilutes it.
         assert narrow.demand_eviction_cost() > wide.demand_eviction_cost()
+
+    @pytest.mark.parametrize("band", [0, -3])
+    def test_invalid_band_rejected_at_construction(self, band):
+        # Not at the first full-pool miss, mid-run.
+        with pytest.raises(ValueError, match="marginal_band"):
+            Simulator(PAPER_PARAMS, make_policy("tree"), 4, marginal_band=band)

@@ -59,6 +59,17 @@ class TestCommands:
         assert err.startswith("error:")
         assert "t_disk" in err
 
+    @pytest.mark.parametrize("flag", ["--t-disk", "--t-driver"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_param_override_is_clean_error(self, capsys, flag,
+                                                      value):
+        rc = main(["simulate", "--trace", "cad", "--refs", "500",
+                   "--cache", "64", flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert flag[2:].replace("-", "_") in err
+
     def test_sweep(self, capsys):
         rc = main(["sweep", "--trace", "sitar", "--refs", "2000",
                    "--policies", "no-prefetch", "next-limit",

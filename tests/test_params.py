@@ -53,6 +53,12 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams().bytes_to_blocks(-1)
 
+    @pytest.mark.parametrize("name", ["t_hit", "t_driver", "t_disk", "t_cpu"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_timing_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SystemParams(**{name: value})
+
     def test_as_dict(self):
         d = SystemParams().as_dict()
         assert d["t_disk"] == 15.0
